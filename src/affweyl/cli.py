@@ -301,6 +301,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "wgroup" and args.operation == "leq" and args.other is None:
+            parser.error("wgroup leq requires --other")
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:

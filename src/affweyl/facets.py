@@ -371,11 +371,6 @@ def schubert_components(group, mu, facet, length_cap=64):
     return rows
 
 
-def in_min_double_coset_reps(group, g, letters):
-    """Whether g is the max-min representative of its double coset."""
-    return group.dc_rep(g, letters) == g
-
-
 def parity_check(group, facet, bound):
     """Within each connected component, all strata of bounded length must
     have one parity; returns (ok, witness_pair_or_None).

@@ -14,6 +14,7 @@ system is deferred to the wall tables of the affine layer).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mod
 
 from .errors import FoldingError, PairingError
 from .linalg import (dot, identity, mat_inverse_int, mat_mul, mat_transpose,
@@ -150,7 +151,7 @@ class CoinvariantClass:
                 and self.free == other.free and self.torsion == other.torsion)
 
     def __hash__(self):
-        return hash((id(self.lattice), self.free, self.torsion))
+        return hash((self.free, self.torsion))
 
     def __repr__(self):
         if self.torsion:
@@ -189,7 +190,7 @@ class CoinvariantLattice:
         self.relation_rank = sum(1 for d in diag if d != 0)
 
     def make(self, free, torsion):
-        torsion = tuple(t % d for t, d in zip(torsion, self.torsion))
+        torsion = tuple(map(mod, torsion, self.torsion)) if self.torsion else ()
         return CoinvariantClass(self, tuple(free), torsion)
 
     def zero(self):
@@ -216,6 +217,21 @@ class CoinvariantLattice:
     def act(self, ambient_matrix, cls):
         """Induced action of a relation-preserving ambient matrix."""
         return self.project(mat_vec(ambient_matrix, self.lift(cls)))
+
+    def class_matrix(self, ambient_matrix):
+        """Integer matrix of ``act(ambient_matrix, -)`` on class coordinates.
+
+        Rows and columns run over the free then the torsion coordinates, so
+        the image of a class with coordinates c has coordinates M c, torsion
+        taken mod its factor.  M is read off u A u^-1, with each torsion row
+        reduced mod its factor.
+        """
+        conj = mat_mul(mat_mul(self.u, ambient_matrix), self.uinv)
+        pos = self.free_positions + self.torsion_positions
+        return tuple(
+            tuple(conj[i][j] % self.diagonal[i] if self.diagonal[i] else conj[i][j]
+                  for j in pos)
+            for i in pos)
 
     def relation_column(self, j):
         return tuple(self.relation_matrix[i][j] for i in range(self.ambient_rank))
@@ -293,12 +309,6 @@ class FoldedDatum:
     simple_torsion: tuple
     component_group: tuple
     nonreduced: bool
-
-    def project_char(self, chi):
-        return self.char_coinv.project(chi)
-
-    def free_part(self, chi):
-        return self.char_coinv.project(chi).free
 
 
 def _simple_orbits(action):

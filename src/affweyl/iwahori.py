@@ -22,8 +22,15 @@ arrangement, and integrality of the wall reflections, so a wrong table
 fails at construction time rather than corrupting lengths.
 
 Groups and elements are immutable once constructed; the length and word
-caches are write-once with idempotent fills, so sharing across threads is
-safe.
+caches are write-once with idempotent fills.
+
+Products
+--------
+An element is a pair (translation class, W0 element).  The relative Weyl
+group W0 is built once per group with its Cayley table, its inverse table
+and one integer matrix per element on (free, torsion) class coordinates, so
+(c, w)(c', w') = (c + w(c'), ww') costs a table lookup and one small matrix
+times vector, with no Smith-form lift or projection.
 """
 
 from fractions import Fraction
@@ -40,15 +47,20 @@ from .linalg import (dot, identity, mat_mul, mat_vec, nullspace_rational,
 
 
 class RelWeylElement:
-    """Element of the relative Weyl group W0 (invariant absolute elements)."""
+    """Element of the relative Weyl group W0 (invariant absolute elements).
 
-    __slots__ = ("group", "index", "abs_mat", "free_mat", "word")
+    ``class_mat`` is the element's integer matrix on (free, torsion) class
+    coordinates; products and inverses are lookups in the group's tables.
+    """
 
-    def __init__(self, group, index, abs_mat, free_mat, word):
+    __slots__ = ("group", "index", "abs_mat", "free_mat", "class_mat", "word")
+
+    def __init__(self, group, index, abs_mat, free_mat, class_mat, word):
         self.group = group
         self.index = index
         self.abs_mat = abs_mat
         self.free_mat = free_mat
+        self.class_mat = class_mat
         self.word = word
 
     @property
@@ -56,13 +68,10 @@ class RelWeylElement:
         return len(self.word)
 
     def __mul__(self, other):
-        prod = mat_mul(self.free_mat, other.free_mat)
-        res = self.group.by_free[prod]
-        return res
+        return self.group._products[self.index][other.index]
 
     def inverse(self):
-        from .linalg import mat_inverse_int
-        return self.group.by_free[mat_inverse_int(self.free_mat)]
+        return self.group._inverses[self.index]
 
     def is_identity(self):
         return not self.word
@@ -72,7 +81,7 @@ class RelWeylElement:
             and self.index == other.index
 
     def __hash__(self):
-        return hash((id(self.group), self.index))
+        return hash(self.index)
 
     def __repr__(self):
         return "w0[%s]" % ",".join(str(i + 1) for i in self.word)
@@ -80,79 +89,72 @@ class RelWeylElement:
 
 class RelWeylGroup:
     """The relative Weyl group: invariant elements of the absolute one,
-    acting on the coinvariant lattice."""
+    acting on the coinvariant lattice.
 
-    def __init__(self, action, coinv, simple_line_covectors, line_covectors):
+    Elements are indexed in the order of their free matrices.  The group
+    keeps a Cayley table and an inverse table over these indices, and one
+    class-coordinate matrix per element, so neither products nor the action
+    on classes go through the Smith form.  ``reflections[i]`` is the
+    reflection in the i-th line of ``line_covectors``; the first
+    ``n_simple`` lines are the simple ones.
+    """
+
+    def __init__(self, action, coinv, line_covectors, n_simple):
         self.action = action
         self.coinv = coinv
-        absgrp = action.datum.weyl
-        invariant = []
-        for w in absgrp.elements:
+        self._line_covectors = tuple(line_covectors)
+        f = coinv.free_rank
+        mats = {}
+        for w in action.datum.weyl.elements:
             if all(mat_mul(w.mat, g) == mat_mul(g, w.mat)
                    for g in action.cochar_generators):
-                invariant.append(w)
-        f = coinv.free_rank
-        basis = [coinv.make(tuple(1 if i == k else 0 for i in range(f)),
-                            (0,) * len(coinv.torsion)) for k in range(f)]
-
-        def free_matrix(absmat):
-            cols = [coinv.act(absmat, b).free for b in basis]
-            return tuple(tuple(col[i] for col in cols) for i in range(f))
-
-        mats = {}
-        for w in invariant:
-            fm = free_matrix(w.mat)
-            if fm in mats:
-                raise InternalInvariantError(
-                    "relative Weyl group does not act faithfully on coinvariants")
-            mats[fm] = w.mat
-        self._line_covectors = tuple(line_covectors)
-        lengths = {fm: self._inversions(fm) for fm in mats}
-
-        # simple generators: reflections attached to the simple relative lines
-        simple_fms = []
-        for cov in simple_line_covectors:
-            fm = self._find_reflection(mats, cov, f)
-            simple_fms.append(fm)
-        # canonical words by least descent
-        words = {}
+                cm = coinv.class_matrix(w.mat)
+                fm = tuple(row[:f] for row in cm[:f])
+                if fm in mats:
+                    raise InternalInvariantError(
+                        "relative Weyl group does not act faithfully on coinvariants")
+                mats[fm] = (w.mat, cm)
         order = sorted(mats)
+        lengths = [self._inversions(fm) for fm in order]
+        e = order.index(identity(f))
+        table = self._cayley_table(order, lengths, e)
+        involutions = [a for a, row in enumerate(table) if a != e and row[a] == e]
+        refl = [self._find_reflection(order, involutions, cov)
+                for cov in line_covectors]
 
-        def word_of(fm):
-            if fm in words:
-                return words[fm]
-            if lengths[fm] == 0:
-                words[fm] = ()
-                return ()
-            for k, sfm in enumerate(simple_fms):
-                cand = mat_mul(sfm, fm)
-                if lengths[cand] < lengths[fm]:
-                    words[fm] = (k,) + word_of(cand)
-                    return words[fm]
-            raise InternalInvariantError("relative element has no descent")
+        # canonical words by least left descent, in order of length; every
+        # element getting one is the check that the simple reflections
+        # generate the group
+        words = {}
+        for b in sorted(range(len(order)), key=lengths.__getitem__):
+            if b == e:
+                words[b] = ()
+                continue
+            for k, s in enumerate(refl[:n_simple]):
+                c = table[s][b]
+                if lengths[c] < lengths[b]:
+                    words[b] = (k,) + words[c]
+                    break
+            else:
+                raise InternalInvariantError(
+                    "simple relative reflections do not generate the invariant Weyl group")
 
-        self.by_free = {}
-        self.elements = []
-        for idx, fm in enumerate(order):
-            el = RelWeylElement(self, idx, mats[fm], fm, word_of(fm))
-            self.by_free[fm] = el
-            self.elements.append(el)
-        self.identity = self.by_free[identity(f)]
-        self.simple_reflections = tuple(self.by_free[fm] for fm in simple_fms)
-        closure = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in self.simple_reflections:
-                    p = s * w
-                    if p not in closure:
-                        closure.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        if len(closure) != len(self.elements):
-            raise InternalInvariantError(
-                "simple relative reflections do not generate the invariant Weyl group")
+        self.elements = [RelWeylElement(self, i, mats[fm][0], fm, mats[fm][1], words[i])
+                         for i, fm in enumerate(order)]
+        els = self.elements
+        self._products = tuple(tuple(els[c] for c in row) for row in table)
+        self._inverses = tuple(els[row.index(e)] for row in table)
+        self.identity = els[e]
+        self.reflections = tuple(els[r] for r in refl)
+        self.simple_reflections = self.reflections[:n_simple]
+        ntors = len(coinv.torsion)
+        for k in range(f + ntors):
+            unit = tuple(int(i == k) for i in range(f + ntors))
+            b = coinv.make(unit[:f], unit[f:])
+            for s in self.simple_reflections:
+                if self.act_class(s, b) != coinv.act(s.abs_mat, b):
+                    raise InternalInvariantError(
+                        "tabled class action disagrees with the coinvariant action")
 
     def _inversions(self, fm):
         # counts lines sent to the negative side by fm^{-1}; since
@@ -166,22 +168,40 @@ class RelWeylGroup:
                 count += 1
         return count
 
-    def _find_reflection(self, mats, cov, f):
-        kernel = nullspace_rational([cov], f)
-        found = None
-        ident = identity(f)
-        for fm in mats:
-            if fm == ident:
+    @staticmethod
+    def _cayley_table(order, lengths, e):
+        """table[a][b] is the index of a*b.
+
+        Built from right multiplication by the length-one elements, which
+        are involutions: a * (b' s) = (a b') s, filling the columns b in
+        order of length.
+        """
+        index = {fm: i for i, fm in enumerate(order)}
+        gens = [i for i, ell in enumerate(lengths) if ell == 1]
+        right = [[index[mat_mul(fm, order[s])] for s in gens] for fm in order]
+        if any(right[s][k] != e for k, s in enumerate(gens)):
+            raise InternalInvariantError("a length-one relative element is not an involution")
+        cols = [None] * len(order)
+        for b in sorted(range(len(order)), key=lengths.__getitem__):
+            if b == e:
+                cols[b] = range(len(order))
                 continue
-            if mat_mul(fm, fm) != ident:
-                continue
-            if all(mat_vec(fm, b) == b for b in kernel):
-                if found is not None:
-                    raise InternalInvariantError("two reflections fix the same wall")
-                found = fm
-        if found is None:
-            raise InternalInvariantError("no reflection found for a relative line")
-        return found
+            k = next((k for k, c in enumerate(right[b]) if lengths[c] < lengths[b]), None)
+            if k is None:
+                raise InternalInvariantError("relative element has no descent")
+            cols[b] = [right[a][k] for a in cols[right[b][k]]]
+        return [tuple(col[a] for col in cols) for a in range(len(order))]
+
+    @staticmethod
+    def _find_reflection(order, involutions, cov):
+        """The involution fixing the hyperplane cov = 0 pointwise."""
+        kernel = nullspace_rational([cov], len(cov))
+        hits = [a for a in involutions
+                if all(mat_vec(order[a], b) == b for b in kernel)]
+        if len(hits) != 1:
+            raise InternalInvariantError(
+                f"{len(hits)} reflections fix the hyperplane of a relative line")
+        return hits[0]
 
     def __len__(self):
         return len(self.elements)
@@ -193,7 +213,10 @@ class RelWeylGroup:
         return w
 
     def act_class(self, w, cls):
-        return self.coinv.act(w.abs_mat, cls)
+        """The class w(cls), through w's class-coordinate matrix."""
+        coords = mat_vec(w.class_mat, cls.free + cls.torsion)
+        f = self.coinv.free_rank
+        return self.coinv.make(coords[:f], coords[f:])
 
     @cached_property
     def longest_element(self):
@@ -221,7 +244,7 @@ class IwahoriWeylElement:
             and self.key() == other.key()
 
     def __hash__(self):
-        return hash((id(self.group), self.key()))
+        return hash(self.key())
 
     def __mul__(self, other):
         g = self.group
@@ -261,6 +284,13 @@ class IwahoriWeylElement:
 
     def __repr__(self):
         return self.group.element_to_string(self)
+
+
+def _element_ints(body, part):
+    try:
+        return [int(x) for x in body.split(",") if x.strip() != ""]
+    except ValueError:
+        raise ElementParseError(f"non-integer entry in element part {part!r}") from None
 
 
 class WallFamily:
@@ -355,7 +385,7 @@ class IwahoriWeylGroup:
         others.sort()
         self.line_primitives = tuple(simple_first + others)
         self.n_simple_lines = len(simple_first)
-        self.w0 = RelWeylGroup(action, co, simple_first, self.line_primitives)
+        self.w0 = RelWeylGroup(action, co, self.line_primitives, self.n_simple_lines)
 
     def _kottwitz_of_class(self, cls):
         return self.pi1.project(self.coinv.lift(cls))
@@ -408,7 +438,7 @@ class IwahoriWeylGroup:
         self.families = []
         for line_id in range(len(self.line_primitives)):
             cprime = assigned[line_id]
-            s_lin = self._reflection_for_line(line_id)
+            s_lin = self.w0.reflections[line_id]
             w_vec = self._w_vec(cprime, s_lin)
             unit_class = self._unit_class(w_vec)
             self.families.append(WallFamily(line_id, cprime, w_vec, unit_class, s_lin))
@@ -424,24 +454,6 @@ class IwahoriWeylGroup:
                 if img not in famset:
                     raise EchelonnageError(
                         "wall arrangement is not Weyl-symmetric; bad stride table")
-
-    def _reflection_for_line(self, line_id):
-        prim = self.line_primitives[line_id]
-        f = self.coinv.free_rank
-        kernel = nullspace_rational([prim], f)
-        ident = identity(f)
-        found = None
-        for w in self.w0.elements:
-            fm = w.free_mat
-            if fm == ident or mat_mul(fm, fm) != ident:
-                continue
-            if all(tuple(mat_vec(fm, b)) == tuple(b) for b in kernel):
-                if found is not None:
-                    raise InternalInvariantError("two reflections for one line")
-                found = w
-        if found is None:
-            raise InternalInvariantError("missing reflection for a relative line")
-        return found
 
     def _w_vec(self, cprime, s_lin):
         f = self.coinv.free_rank
@@ -593,7 +605,8 @@ class IwahoriWeylGroup:
         p = self._act_point(g, self.p0_num)
         d = self.p0_den
         letters = []
-        guard = 0
+        # a valid walk crosses exactly l(g) walls
+        bound = g.length
         while True:
             for s in self.simple_affine:
                 cov = s.family.covector
@@ -608,9 +621,8 @@ class IwahoriWeylGroup:
                     break
             else:
                 break
-            guard += 1
-            if guard > 10000:
-                raise InternalInvariantError("alcove walk did not terminate")
+            if len(letters) > bound:
+                raise InternalInvariantError("alcove walk crossed more walls than the length")
         om = g
         for i in letters:
             om = self.simple_affine_element(i) * om
@@ -656,9 +668,6 @@ class IwahoriWeylGroup:
     def kottwitz(self, g):
         """Class of g in pi1(G)_I (constant on the affine Weyl group)."""
         return self._kottwitz_of_class(g.cls)
-
-    def omega_representative(self, g):
-        return g.omega
 
     # -- coset representatives ----------------------------------------------------
 
@@ -742,9 +751,6 @@ class IwahoriWeylGroup:
         from .folding import invariant_pairing
         return invariant_pairing(self.action, cls, self.datum.two_rho)
 
-    def translation_length(self, cls):
-        return self.translation(cls).length
-
     # -- element parsing / printing ---------------------------------------------------
 
     def element_to_string(self, g):
@@ -767,15 +773,10 @@ class IwahoriWeylGroup:
         for part in text.split("*"):
             part = part.strip()
             if part.startswith("t[") and part.endswith("]"):
-                body = part[2:-1].replace(";", ",")
-                coords = [int(x) for x in body.split(",") if x.strip() != ""] \
-                    if body.strip() else []
+                coords = _element_ints(part[2:-1].replace(";", ","), part)
                 cls = cls + self.class_from_coords(coords)
             elif part.startswith("w[") and part.endswith("]"):
-                body = part[2:-1]
-                letters = [int(x) for x in body.split(",") if x.strip() != ""] \
-                    if body.strip() else []
-                for ell in letters:
+                for ell in _element_ints(part[2:-1], part):
                     if not 1 <= ell <= self.n_simple_lines:
                         raise ElementParseError(
                             f"finite letter {ell} out of range 1..{self.n_simple_lines}")

@@ -6,18 +6,15 @@ exact by construction.  Matrices are tuples of rows.
 
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(u):
-    return tuple(-a for a in u)
+    return tuple(map(sub, u, v))
 
 
 def vec_scale(c, u):
@@ -25,11 +22,11 @@ def vec_scale(c, u):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def mat_mul(a, b):
@@ -158,11 +155,3 @@ def primitive_covector(v):
         return tuple(ints)
     return tuple(x // g for x in ints)
 
-
-def clear_denominators(v):
-    """Integer vector obtained by multiplying with the lcm of denominators."""
-    dens = [Fraction(x).denominator for x in v]
-    mult = 1
-    for d in dens:
-        mult = mult * d // gcd(mult, d)
-    return tuple(int(Fraction(x) * mult) for x in v), mult

@@ -100,3 +100,25 @@ def test_selftest_exits_zero():
     r = run("selftest")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "selftest passed" in r.stdout
+
+
+def test_walk_guard_scales_with_length():
+    r = run("wgroup", "word", "--preset", "a1-sc", "--element", "t[6000]",
+            "--format", "json")
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(r.stdout)["letters"]) == 12000
+
+
+def test_leq_without_other_is_an_argument_error():
+    r = run("wgroup", "leq", "--preset", "a1-sc", "--element", "w[1]")
+    assert r.returncode == 1
+    assert "affweyl: error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_non_integer_element_entries_are_parse_errors():
+    for element in ("t[x]", "w[a]", "t[1]*w[1.5]"):
+        r = run("wgroup", "length", "--preset", "a1-sc", "--element", element)
+        assert r.returncode == 2, element
+        assert "error[cli.element_syntax]" in r.stderr
+        assert "Traceback" not in r.stderr
