@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import AffweylError, InternalInvariantError
+from .errors import AffweylError, CoordinateCountError, InternalInvariantError
 from . import facets as fc
 from . import highest_weight as hw
 from .folding import fold as fold_action
@@ -58,10 +58,26 @@ def _emit(doc, fmt, table_keys=None):
                             for k, w in zip(keys, widths)))
 
 
-def _parse_ints(text):
-    if text is None or text.strip() == "":
+def _int_list(text):
+    """argparse type: comma-separated integers, empty for a blank string."""
+    if text.strip() == "":
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _nonnegative_int(text):
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _class_for_group(group, coords):
@@ -72,7 +88,7 @@ def _class_for_group(group, coords):
         return group.class_from_coords(coords)
     if len(coords) == n:
         return group.project_cocharacter(coords)
-    raise AffweylError(
+    raise CoordinateCountError(
         f"mu needs {n} (absolute) or {need} (class) coordinates")
 
 
@@ -138,9 +154,9 @@ def cmd_wgroup(args):
 
 def cmd_adm(args):
     group = load_group(args.preset)
-    letters = _parse_ints(args.facet)
+    letters = args.facet
     facet = fc.Facet(group, letters)
-    mu = _class_for_group(group, _parse_ints(args.mu))
+    mu = _class_for_group(group, args.mu)
     adm = fc.admissible_set(group, mu, facet, length_cap=args.cap)
     elements = sorted(adm.elements,
                       key=lambda g: (g.length, group.element_to_string(g)))
@@ -190,9 +206,9 @@ def cmd_report(args):
 def cmd_branch(args):
     datum = load_datum(args.preset)
     action = load_action(args.preset, args.action)
-    lam = _parse_ints(args.lam)
+    lam = args.lam
     if len(lam) != datum.rank:
-        raise AffweylError(f"lambda needs {datum.rank} coordinates")
+        raise CoordinateCountError(f"lambda needs {datum.rank} coordinates")
     fd = fold_action(action)
     dec = hw.restrict_to_fixed_group(datum, action, lam, fd)
     rows = []
@@ -214,10 +230,10 @@ def cmd_char(args):
     action = load_action(args.preset, args.action)
     fd = fold_action(action)
     co = fd.char_coinv
-    coords = _parse_ints(args.mu)
+    coords = args.mu
     need = co.free_rank + len(co.torsion)
     if len(coords) != need:
-        raise AffweylError(f"mu needs {need} coordinates (free then torsion)")
+        raise CoordinateCountError(f"mu needs {need} coordinates (free then torsion)")
     cls = co.make(coords[:co.free_rank], coords[co.free_rank:])
     ch = hw.character_with_torsion(fd, cls)
     rows = [{"weight_free": ",".join(map(str, w.free)),
@@ -264,15 +280,16 @@ def build_parser():
 
     sp = sub.add_parser("adm", help="admissible set relative to a facet")
     sp.add_argument("--preset", required=True)
-    sp.add_argument("--facet", default="", help="comma-separated S_aff indices")
-    sp.add_argument("--mu", required=True)
+    sp.add_argument("--facet", type=_int_list, default=(),
+                    help="comma-separated S_aff indices")
+    sp.add_argument("--mu", type=_int_list, required=True)
     sp.add_argument("--cap", type=int, default=64)
     addfmt(sp)
     sp.set_defaults(func=cmd_adm)
 
     sp = sub.add_parser("report", help="facet table of speciality criteria")
     sp.add_argument("--preset", required=True)
-    sp.add_argument("--bound", type=int, default=None)
+    sp.add_argument("--bound", type=_nonnegative_int, default=None)
     sp.add_argument("--cap", type=int, default=64)
     addfmt(sp)
     sp.set_defaults(func=cmd_report)
@@ -280,14 +297,14 @@ def build_parser():
     sp = sub.add_parser("branch", help="restriction to the fixed-point group")
     sp.add_argument("--preset", required=True)
     sp.add_argument("--action", required=True)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    sp.add_argument("--lambda", dest="lam", type=_int_list, required=True)
     addfmt(sp)
     sp.set_defaults(func=cmd_branch)
 
     sp = sub.add_parser("char", help="weight multiset of an irreducible")
     sp.add_argument("--preset", required=True)
     sp.add_argument("--action", default=None)
-    sp.add_argument("--mu", required=True)
+    sp.add_argument("--mu", type=_int_list, required=True)
     addfmt(sp)
     sp.set_defaults(func=cmd_char)
 

@@ -52,5 +52,9 @@ class ElementParseError(AffweylError):
     name = "cli.element_syntax"
 
 
+class CoordinateCountError(AffweylError):
+    name = "cli.coordinate_count"
+
+
 class InternalInvariantError(Exception):
     """An internal consistency check failed; indicates a bug or bad preset."""

@@ -20,6 +20,7 @@ from itertools import combinations, product as iproduct
 
 from .errors import CapExceededError, InfiniteGroupError, InternalInvariantError
 from .linalg import dot, nullspace_rational, solve_rational
+from .root_data import closure
 
 
 class Facet:
@@ -33,21 +34,10 @@ class Facet:
     def _enumerate(self):
         g = self.group
         cap = len(g.w0) + 1
-        ident = g.identity()
-        elements = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for j in self.letters:
-                    p = g.simple_affine_element(j) * w
-                    if p not in elements:
-                        elements.add(p)
-                        nxt.append(p)
-                        if len(elements) > cap:
-                            raise InfiniteGroupError(
-                                f"W_J for J={self.letters} is infinite")
-            frontier = nxt
+        elements = closure([g.identity()], lambda w: (
+            g.simple_affine_element(j) * w for j in self.letters), cap)
+        if len(elements) > cap:
+            raise InfiniteGroupError(f"W_J for J={self.letters} is infinite")
         self.parahoric = frozenset(elements)
         finite_parts = {w.w for w in elements}
         if len(finite_parts) != len(elements):
@@ -169,18 +159,7 @@ class Facet:
         """The unique W_{0,J}-orbit member pairing >= 0 with all of R_J^+."""
         g = self.group
         _, pos = self.restricted_roots()
-        orbit = set()
-        frontier = [cls]
-        orbit.add(cls)
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for w in self.w0j:
-                    img = g.w0.act_class(w, c)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        orbit = closure([cls], lambda c: (g.w0.act_class(w, c) for w in self.w0j))
         hits = [c for c in orbit if all(dot(cov, c.free) >= 0 for cov in pos)]
         if len(hits) != 1:
             raise InternalInvariantError(
@@ -251,24 +230,16 @@ def admissible_set(group, mu, facet=None, length_cap=64):
         if t.length > length_cap:
             raise CapExceededError(
                 f"translation length {t.length} exceeds cap {length_cap}")
-    closure = {}
-    frontier = []
-    for t in tops:
-        if t not in closure:
-            closure[t] = None
-            frontier.append(t)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            om, letters = g.reduced_word()
-            for k in range(len(letters)):
-                sub = letters[:k] + letters[k + 1:]
-                cand = group.element_from_word(sub, om)
-                if cand not in closure:
-                    closure[cand] = None
-                    nxt.append(cand)
-        frontier = nxt
-    adm = set(closure)
+
+    def deletions(g):
+        om, letters = g.reduced_word()
+        for k in range(len(letters)):
+            yield group.element_from_word(letters[:k] + letters[k + 1:], om)
+
+    # a set built from a dict is sized once for all its keys, unlike one
+    # grown item by item; its size fixes its iteration order, hence the
+    # order and number of Bruhat tests in bruhat_maxima
+    adm = set(dict.fromkeys(closure(tops, deletions)))
     if facet is not None and facet.letters:
         adm = {group.dc_rep(g, facet.letters) for g in adm}
     kclasses = {(group.kottwitz(g).free, group.kottwitz(g).torsion) for g in adm}
@@ -319,20 +290,8 @@ def double_coset_count(group, cls, facet):
         if w in seen:
             continue
         count += 1
-        coset = set()
-        frontier = [w]
-        coset.add(w)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for a in facet.w0j:
-                    for b in stab:
-                        y = a * x * b
-                        if y not in coset:
-                            coset.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        seen |= coset
+        seen.update(closure([w], lambda x: (
+            a * x * b for a in facet.w0j for b in stab)))
     return count
 
 

@@ -19,7 +19,7 @@ from operator import mod
 from .errors import FoldingError, PairingError
 from .linalg import (dot, identity, mat_inverse_int, mat_mul, mat_transpose,
                      mat_vec, vec_add, vec_sub)
-from .root_data import BasedRootDatum
+from .root_data import BasedRootDatum, closure
 from .smith import smith_normal_form, verify_decomposition
 
 
@@ -49,20 +49,10 @@ class PinnedAction:
     @cached_property
     def group_elements(self):
         """All character-side matrices of the generated (finite) group."""
-        ident = identity(self.datum.rank)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in self.generators:
-                    p = mat_mul(g, m)
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-            frontier = nxt
-            if len(seen) > self.MAX_ORDER:
-                raise FoldingError("automorphism group exceeded the hard cap")
+        seen = closure([identity(self.datum.rank)], lambda m: (
+            mat_mul(g, m) for g in self.generators), self.MAX_ORDER)
+        if len(seen) > self.MAX_ORDER:
+            raise FoldingError("automorphism group exceeded the hard cap")
         return tuple(sorted(seen))
 
     @property
@@ -260,8 +250,9 @@ def coinvariants(action, side="cocharacters"):
 def invariant_pairing(action, cls, chi, side="cocharacters"):
     """<cls, chi> for an invariant character chi; independent of the lift.
 
-    The value is computed on one representative and re-checked on a second
-    one, so ill-posed inputs fail loudly rather than silently.
+    The value is computed on one representative and re-checked on its shift
+    by every relation column, so ill-posed inputs fail loudly rather than
+    silently.
     """
     mats = action.generators if side == "cocharacters" else action.cochar_generators
     for g in mats:
@@ -270,9 +261,8 @@ def invariant_pairing(action, cls, chi, side="cocharacters"):
     lat = cls.lattice
     rep = lat.lift(cls)
     val = dot(rep, chi)
-    if lat.num_relations:
-        rep2 = vec_add(rep, lat.relation_column(0))
-        if dot(rep2, chi) != val:
+    for j in range(lat.num_relations):
+        if dot(vec_add(rep, lat.relation_column(j)), chi) != val:
             raise PairingError("pairing depends on the representative")
     return val
 
@@ -320,18 +310,8 @@ def _simple_orbits(action):
     for s in range(nslots):
         if s in seen:
             continue
-        orbit = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for p in perms:
-                    y = p[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        seen |= orbit
+        orbit = closure([s], lambda x: (p[x] for p in perms))
+        seen.update(orbit)
         orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
 
@@ -403,20 +383,18 @@ def fold(action, characteristic=0):
         orbit_map.append((orbit, oi))
 
     # close the folded simples under their reflections to get all roots
-    pairs = {(r, cv) for r, cv in zip(folded_simple_roots, folded_simple_coroots)}
-    frontier = list(pairs)
-    while frontier:
-        nxt = []
-        for (r, cv) in frontier:
-            for sr, scv in zip(folded_simple_roots, folded_simple_coroots):
-                img_r = vec_sub(r, tuple(dot(scv, r) * x for x in sr))
-                img_cv = vec_sub(cv, tuple(dot(cv, sr) * x for x in scv))
-                if (img_r, img_cv) not in pairs:
-                    pairs.add((img_r, img_cv))
-                    nxt.append((img_r, img_cv))
-        frontier = nxt
-        if len(pairs) > 4 * len(datum.roots) + 8:
-            raise FoldingError("folded root closure does not terminate")
+    simple_pairs = list(zip(folded_simple_roots, folded_simple_coroots))
+
+    def reflect(pair):
+        r, cv = pair
+        for sr, scv in simple_pairs:
+            yield (vec_sub(r, tuple(dot(scv, r) * x for x in sr)),
+                   vec_sub(cv, tuple(dot(cv, sr) * x for x in scv)))
+
+    cap = 4 * len(datum.roots) + 8
+    pairs = closure(simple_pairs, reflect, cap)
+    if len(pairs) > cap:
+        raise FoldingError("folded root closure does not terminate")
     if f == 0 and folded_simple_roots:
         raise FoldingError("folded simple root in rank zero")
     ordered = sorted(pairs)

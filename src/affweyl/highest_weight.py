@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import DominanceError, PeelingError
 from .folding import fold
 from .linalg import dot, solve_rational, vec_add, vec_sub
+from .root_data import WeylElement, closure
 
 
 class WeightMultiset:
@@ -156,31 +157,13 @@ def freudenthal(datum, lam):
 
 def dominant_of_char(datum, chi):
     """Dominant representative of a character under the Weyl group."""
-    cur = tuple(chi)
-    w = datum.weyl.identity
-    while True:
-        for k, cv in enumerate(datum.simple_coroots):
-            if dot(cv, cur) < 0:
-                cur = datum.weyl.simple_reflections[k].apply_char(cur)
-                w = datum.weyl.simple_reflections[k] * w
-                break
-        else:
-            return cur, w
+    return datum.weyl.descend(tuple(chi), datum.simple_coroots, dot,
+                              WeylElement.apply_char)
 
 
 def weyl_orbit_char(datum, chi):
-    seen = {tuple(chi)}
-    frontier = [tuple(chi)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in datum.weyl.simple_reflections:
-                img = s.apply_char(v)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
+    return set(closure([tuple(chi)], lambda v: (
+        s.apply_char(v) for s in datum.weyl.simple_reflections)))
 
 
 def irreducible_character(datum, lam):
@@ -366,7 +349,9 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
     Returns a sorted list of (class, multiplicity).  Peeling is greedy from
     the top of the dominance order (height functional, lexicographic tie
     break); a negative residue raises, since it would falsify the
-    highest-weight theory this computes in.
+    highest-weight theory this computes in.  Each round removes its top
+    weight for good (a weight it added would be negative and raise), so
+    there are at most as many rounds as distinct projected weights.
     """
     if folded is None:
         folded = fold(action)
@@ -384,7 +369,7 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
         return (-dot(height, cls.free), cls.free, cls.torsion)
 
     out = []
-    guard = 0
+    max_rounds = len(remaining)
     while remaining.entries:
         top = min(remaining.entries, key=sort_key)
         mult = remaining[top]
@@ -400,8 +385,7 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
             if m < 0:
                 raise PeelingError("negative multiplicity while peeling")
         out.append((top, mult))
-        guard += 1
-        if guard > 100000:
+        if len(out) > max_rounds:
             raise PeelingError("peeling did not terminate")
     out.sort(key=lambda t: sort_key(t[0]))
     return out

@@ -27,126 +27,62 @@ caches are write-once with idempotent fills.
 Products
 --------
 An element is a pair (translation class, W0 element).  The relative Weyl
-group W0 is built once per group with its Cayley table, its inverse table
-and one integer matrix per element on (free, torsion) class coordinates, so
-(c, w)(c', w') = (c + w(c'), ww') costs a table lookup and one small matrix
-times vector, with no Smith-form lift or projection.
+group W0 is a ``root_data.FiniteReflectionGroup``: its products walk a left
+table once and are memoized.  It also keeps one integer matrix per element
+on (free, torsion) class coordinates, so (c, w)(c', w') = (c + w(c'), ww')
+costs a memo lookup and one small matrix times vector, with no Smith-form
+lift or projection.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as iproduct
 from math import gcd
 
-from .errors import (EchelonnageError, ElementParseError,
-                     InfiniteGroupError, InternalInvariantError)
+from .errors import EchelonnageError, ElementParseError, InternalInvariantError
 from .folding import CoinvariantLattice, average_lift, coinvariants
 from .linalg import (dot, identity, mat_mul, mat_vec, nullspace_rational,
                      primitive_covector, solve_rational, vec_add, vec_scale,
                      vec_sub)
+from .root_data import FiniteReflectionGroup, closure
 
 
-class RelWeylElement:
-    """Element of the relative Weyl group W0 (invariant absolute elements).
-
-    ``class_mat`` is the element's integer matrix on (free, torsion) class
-    coordinates; products and inverses are lookups in the group's tables.
-    """
-
-    __slots__ = ("group", "index", "abs_mat", "free_mat", "class_mat", "word")
-
-    def __init__(self, group, index, abs_mat, free_mat, class_mat, word):
-        self.group = group
-        self.index = index
-        self.abs_mat = abs_mat
-        self.free_mat = free_mat
-        self.class_mat = class_mat
-        self.word = word
-
-    @property
-    def length(self):
-        return len(self.word)
-
-    def __mul__(self, other):
-        return self.group._products[self.index][other.index]
-
-    def inverse(self):
-        return self.group._inverses[self.index]
-
-    def is_identity(self):
-        return not self.word
-
-    def __eq__(self, other):
-        return isinstance(other, RelWeylElement) and self.group is other.group \
-            and self.index == other.index
-
-    def __hash__(self):
-        return hash(self.index)
-
-    def __repr__(self):
-        return "w0[%s]" % ",".join(str(i + 1) for i in self.word)
-
-
-class RelWeylGroup:
+class RelWeylGroup(FiniteReflectionGroup):
     """The relative Weyl group: invariant elements of the absolute one,
     acting on the coinvariant lattice.
 
-    Elements are indexed in the order of their free matrices.  The group
-    keeps a Cayley table and an inverse table over these indices, and one
-    class-coordinate matrix per element, so neither products nor the action
-    on classes go through the Smith form.  ``reflections[i]`` is the
-    reflection in the i-th line of ``line_covectors``; the first
-    ``n_simple`` lines are the simple ones.
+    The group is closed on free class-coordinate matrices from the simple
+    relative reflections, and the closure is checked to be the whole
+    invariant group.  Each element also carries its ambient matrix and its
+    class-coordinate matrix, so the action on classes never goes through
+    the Smith form.  ``reflections[i]`` is the reflection in the i-th line
+    of ``line_covectors``; the first ``n_simple`` lines are the simple ones.
     """
 
     def __init__(self, action, coinv, line_covectors, n_simple):
         self.action = action
         self.coinv = coinv
-        self._line_covectors = tuple(line_covectors)
         f = coinv.free_rank
-        mats = {}
+        invariant = {}
         for w in action.datum.weyl.elements:
             if all(mat_mul(w.mat, g) == mat_mul(g, w.mat)
                    for g in action.cochar_generators):
                 cm = coinv.class_matrix(w.mat)
                 fm = tuple(row[:f] for row in cm[:f])
-                if fm in mats:
+                if fm in invariant:
                     raise InternalInvariantError(
                         "relative Weyl group does not act faithfully on coinvariants")
-                mats[fm] = (w.mat, cm)
-        order = sorted(mats)
-        lengths = [self._inversions(fm) for fm in order]
-        e = order.index(identity(f))
-        table = self._cayley_table(order, lengths, e)
-        involutions = [a for a, row in enumerate(table) if a != e and row[a] == e]
-        refl = [self._find_reflection(order, involutions, cov)
-                for cov in line_covectors]
-
-        # canonical words by least left descent, in order of length; every
-        # element getting one is the check that the simple reflections
-        # generate the group
-        words = {}
-        for b in sorted(range(len(order)), key=lengths.__getitem__):
-            if b == e:
-                words[b] = ()
-                continue
-            for k, s in enumerate(refl[:n_simple]):
-                c = table[s][b]
-                if lengths[c] < lengths[b]:
-                    words[b] = (k,) + words[c]
-                    break
-            else:
-                raise InternalInvariantError(
-                    "simple relative reflections do not generate the invariant Weyl group")
-
-        self.elements = [RelWeylElement(self, i, mats[fm][0], fm, mats[fm][1], words[i])
-                         for i, fm in enumerate(order)]
-        els = self.elements
-        self._products = tuple(tuple(els[c] for c in row) for row in table)
-        self._inverses = tuple(els[row.index(e)] for row in table)
-        self.identity = els[e]
-        self.reflections = tuple(els[r] for r in refl)
-        self.simple_reflections = self.reflections[:n_simple]
+                invariant[fm] = (w.mat, cm)
+        ident = identity(f)
+        involutions = [fm for fm in sorted(invariant)
+                       if fm != ident and mat_mul(fm, fm) == ident]
+        refl = [self._find_reflection(involutions, cov) for cov in line_covectors]
+        super().__init__(ident, refl[:n_simple])
+        if [w.mat for w in self.elements] != sorted(invariant):
+            raise InternalInvariantError(
+                "simple relative reflections do not generate the invariant Weyl group")
+        for w in self.elements:
+            w.abs_mat, w.class_mat = invariant[w.mat]
+        self.reflections = tuple(self.by_matrix[r] for r in refl)
         ntors = len(coinv.torsion)
         for k in range(f + ntors):
             unit = tuple(int(i == k) for i in range(f + ntors))
@@ -156,71 +92,21 @@ class RelWeylGroup:
                     raise InternalInvariantError(
                         "tabled class action disagrees with the coinvariant action")
 
-    def _inversions(self, fm):
-        # counts lines sent to the negative side by fm^{-1}; since
-        # l(w) = l(w^{-1}) this is the length of the element itself
-        negs = {tuple(-x for x in p) for p in self._line_covectors}
-        f = len(fm)
-        count = 0
-        for cov in self._line_covectors:
-            img = tuple(sum(cov[i] * fm[i][j] for i in range(f)) for j in range(f))
-            if primitive_covector(img) in negs:
-                count += 1
-        return count
-
     @staticmethod
-    def _cayley_table(order, lengths, e):
-        """table[a][b] is the index of a*b.
-
-        Built from right multiplication by the length-one elements, which
-        are involutions: a * (b' s) = (a b') s, filling the columns b in
-        order of length.
-        """
-        index = {fm: i for i, fm in enumerate(order)}
-        gens = [i for i, ell in enumerate(lengths) if ell == 1]
-        right = [[index[mat_mul(fm, order[s])] for s in gens] for fm in order]
-        if any(right[s][k] != e for k, s in enumerate(gens)):
-            raise InternalInvariantError("a length-one relative element is not an involution")
-        cols = [None] * len(order)
-        for b in sorted(range(len(order)), key=lengths.__getitem__):
-            if b == e:
-                cols[b] = range(len(order))
-                continue
-            k = next((k for k, c in enumerate(right[b]) if lengths[c] < lengths[b]), None)
-            if k is None:
-                raise InternalInvariantError("relative element has no descent")
-            cols[b] = [right[a][k] for a in cols[right[b][k]]]
-        return [tuple(col[a] for col in cols) for a in range(len(order))]
-
-    @staticmethod
-    def _find_reflection(order, involutions, cov):
+    def _find_reflection(involutions, cov):
         """The involution fixing the hyperplane cov = 0 pointwise."""
         kernel = nullspace_rational([cov], len(cov))
-        hits = [a for a in involutions
-                if all(mat_vec(order[a], b) == b for b in kernel)]
+        hits = [m for m in involutions if all(mat_vec(m, b) == b for b in kernel)]
         if len(hits) != 1:
             raise InternalInvariantError(
                 f"{len(hits)} reflections fix the hyperplane of a relative line")
         return hits[0]
-
-    def __len__(self):
-        return len(self.elements)
-
-    def element_from_word(self, word):
-        w = self.identity
-        for i in word:
-            w = w * self.simple_reflections[i]
-        return w
 
     def act_class(self, w, cls):
         """The class w(cls), through w's class-coordinate matrix."""
         coords = mat_vec(w.class_mat, cls.free + cls.torsion)
         f = self.coinv.free_rank
         return self.coinv.make(coords[:f], coords[f:])
-
-    @cached_property
-    def longest_element(self):
-        return max(self.elements, key=lambda w: w.length)
 
 
 class IwahoriWeylElement:
@@ -449,7 +335,7 @@ class IwahoriWeylGroup:
             famset.add(tuple(-x for x in fam.covector))
         for w in self.w0.elements:
             for fam in self.families:
-                img = tuple(dot(fam.covector, tuple(w.free_mat[i][j] for i in range(f)))
+                img = tuple(dot(fam.covector, tuple(w.mat[i][j] for i in range(f)))
                             for j in range(f))
                 if img not in famset:
                     raise EchelonnageError(
@@ -463,7 +349,7 @@ class IwahoriWeylGroup:
             if dot(cprime, e) != 0:
                 x0 = e
                 break
-        diff = vec_sub(x0, mat_vec(s_lin.free_mat, x0))
+        diff = vec_sub(x0, mat_vec(s_lin.mat, x0))
         c = dot(cprime, x0)
         w_vec = tuple(Fraction(d, c) for d in diff)
         ints = []
@@ -572,7 +458,7 @@ class IwahoriWeylGroup:
     # -- length and words ------------------------------------------------------
 
     def _act_point(self, g, nums):
-        moved = mat_vec(g.w.free_mat, nums)
+        moved = mat_vec(g.w.mat, nums)
         return vec_add(moved, vec_scale(self.p0_den, g.cls.free))
 
     def _length(self, g):
@@ -684,9 +570,14 @@ class IwahoriWeylGroup:
                 return cur
 
     def double_coset_max(self, g, letters):
-        """The maximal element of W_J g W_J (W_J finite)."""
+        """The maximal element of W_J g W_J (W_J finite).
+
+        Each step raises the length by one, and the maximum is at most
+        2 l(w_J) above g.  W_J embeds in W0, so l(w_J), its number of
+        reflections, is at most the number of lines of W0.
+        """
         cur = g
-        guard = 0
+        steps = 0
         while True:
             moved = False
             for j in letters:
@@ -704,9 +595,9 @@ class IwahoriWeylGroup:
                         break
             if not moved:
                 return cur
-            guard += 1
-            if guard > 100000:
-                raise InfiniteGroupError("double coset ascent did not terminate")
+            steps += 1
+            if steps > 2 * len(self.line_primitives):
+                raise InternalInvariantError("double coset ascent exceeded 2 l(w_J) steps")
 
     def dc_rep(self, g, letters):
         """The representative of maximal length among the minimal-length
@@ -723,28 +614,12 @@ class IwahoriWeylGroup:
 
     def dominant_class(self, cls):
         """The dominant representative of the W0-orbit of a class."""
-        cur = cls
-        while True:
-            for i in range(self.n_simple_lines):
-                if self.rel_value(self.families[i].covector, cur) < 0:
-                    cur = self.w0.act_class(self.w0.simple_reflections[i], cur)
-                    break
-            else:
-                return cur
+        walls = [fam.covector for fam in self.families[:self.n_simple_lines]]
+        return self.w0.descend(cls, walls, self.rel_value, self.w0.act_class)[0]
 
     def w0_orbit(self, cls):
-        seen = {cls}
-        frontier = [cls]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for s in self.w0.simple_reflections:
-                    img = self.w0.act_class(s, c)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return seen
+        return set(closure([cls], lambda c: (
+            self.w0.act_class(s, c) for s in self.w0.simple_reflections)))
 
     def pairing_two_rho(self, cls):
         """<cls, 2 rho_B> through any representative (well-defined)."""
@@ -789,19 +664,13 @@ class IwahoriWeylGroup:
 
     def affine_ball(self, bound):
         """All elements of the affine Weyl group with length <= bound."""
-        out = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in self.simple_affine:
-                    cand = s.element * g
-                    if cand.length == g.length + 1 and cand.length <= bound \
-                            and cand not in out:
-                        out.add(cand)
-                        nxt.append(cand)
-            frontier = nxt
-        return out
+        def up(g):
+            for s in self.simple_affine:
+                cand = s.element * g
+                if cand.length == g.length + 1 and cand.length <= bound:
+                    yield cand
+
+        return set(closure([self.identity()], up))
 
     def omega_torsion_representatives(self):
         """Length-zero representatives of the torsion part of pi1(G)_I.

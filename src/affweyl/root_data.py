@@ -173,31 +173,70 @@ class BasedRootDatum:
         return WeylGroup(self)
 
 
-class WeylElement:
-    """Element of a finite Weyl group, with a canonical reduced word.
+def closure(seeds, step, limit=None):
+    """The seeds, then the breadth-first layers of everything ``step`` reaches.
 
-    ``mat`` acts on cocharacters, ``mat_char`` on characters; the canonical
-    word is the lexicographically least reduced word.
+    ``step(x)`` yields the neighbours of ``x``; each item is kept once, at
+    its first appearance, so the order is the insertion order of a
+    layer-by-layer search.  With a ``limit`` the search stops as soon as more
+    than ``limit`` items are kept, and the caller tests
+    ``len(result) > limit``.
+    """
+    out = []
+    seen = set()
+    for x in seeds:
+        if x not in seen:
+            seen.add(x)
+            out.append(x)
+    # the loop also visits what it appends: a first-in first-out queue
+    for x in out:
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+                if limit is not None and len(out) > limit:
+                    return out
+    return out
+
+
+class WeylElement:
+    """Element of a finite reflection group, with a canonical reduced word.
+
+    ``mat`` is the matrix the group was closed on (cocharacters for an
+    absolute Weyl group, free class coordinates for a relative one) and
+    ``word`` the lexicographically least reduced word in the simple
+    reflections.  The absolute group fills ``mat_char`` (characters); the
+    relative group fills ``abs_mat`` (ambient cocharacters) and
+    ``class_mat`` ((free, torsion) class coordinates).  Elements hash by
+    index, so elements with one index in two loads of a datum hash alike.
     """
 
-    __slots__ = ("group", "index", "mat", "mat_char", "word")
+    __slots__ = ("group", "index", "mat", "word", "mat_char", "abs_mat",
+                 "class_mat", "_products", "_inverse")
 
-    def __init__(self, group, index, mat, mat_char, word):
+    def __init__(self, group, index, mat, word):
         self.group = group
         self.index = index
         self.mat = mat
-        self.mat_char = mat_char
         self.word = word
+        self.mat_char = self.abs_mat = self.class_mat = self._inverse = None
+        self._products = {}
 
     @property
     def length(self):
         return len(self.word)
 
     def __mul__(self, other):
-        return self.group.by_matrix[mat_mul(self.mat, other.mat)]
+        try:
+            return self._products[other.index]
+        except KeyError:
+            out = self._products[other.index] = self.group._left_walk(self.word, other.index)
+            return out
 
     def inverse(self):
-        return self.group.by_matrix[self.group._inverse_mat(self.mat)]
+        if self._inverse is None:
+            self._inverse = self.group.element_from_word(self.word[::-1])
+        return self._inverse
 
     def apply_cochar(self, mu):
         return mat_vec(self.mat, mu)
@@ -212,128 +251,115 @@ class WeylElement:
         return "w[%s]" % ",".join(str(i) for i in self.word)
 
     def __hash__(self):
-        return hash((id(self.group), self.index))
+        return hash(self.index)
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.group is other.group \
             and self.index == other.index
 
 
-class WeylGroup:
-    """Finite Weyl group of a based root datum, generated by closure."""
+class FiniteReflectionGroup:
+    """A finite group generated by ordered simple reflections.
 
-    MAX_ORDER = 1200000
+    One breadth-first closure of the identity under left multiplication by
+    the simple-reflection matrices gives everything: the elements, indexed
+    in sorted-matrix order; each length, as the breadth-first depth; the
+    left table ``_left[a][k]``, the index of s_k * a; and each canonical
+    word, by least left descent, which is the lexicographically least
+    reduced word.  A product a * b walks the word of a through the left
+    table and is memoized on a, so memory stays O(|W| * rank) plus the
+    products actually taken.
+    """
 
-    def __init__(self, datum):
-        self.datum = datum
-        n = datum.rank
-        gens = []
-        for i in datum.simples:
-            char, cochar = reflection_matrices(datum.roots[i], datum.coroots[i], n)
-            gens.append((cochar, char))
-        ident = identity(n)
-        mats = {ident: (ident, ident)}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                mc = mats[m][1]
-                for gm, gc in gens:
-                    prod = mat_mul(gm, m)
-                    if prod not in mats:
-                        mats[prod] = (prod, mat_mul(gc, mc))
-                        nxt.append(prod)
-            frontier = nxt
-            if len(mats) > self.MAX_ORDER:
-                raise RootDatumError("Weyl group closure exceeded the hard cap")
-        self._gen_mats = gens
-        order = sorted(mats)
-        self.by_matrix = {}
-        self.elements = []
-        # lengths via inversion counts, then canonical words by least descent
-        lengths = {}
-        pos = datum.positive_roots
-        posset = set(pos)
-        for m in order:
-            mc = mats[m][1]
-            lengths[m] = sum(1 for r in pos if mat_vec(mc, r) not in posset)
-        words = {}
-
-        def word_of(m):
-            if m in words:
-                return words[m]
-            if lengths[m] == 0:
-                words[m] = ()
-                return ()
-            mc = mats[m][1]
-            for k, i in enumerate(datum.simples):
-                # s_i is a left descent iff m^-1(root_i) is negative, i.e.
-                # l(s_i m) < l(m); test via the inversion criterion
-                sm = mat_mul(gens[k][0], m)
-                if lengths[sm] < lengths[m]:
-                    words[m] = (k,) + word_of(sm)
-                    return words[m]
-            raise RootDatumError("no descent found; datum is inconsistent")
-
-        import sys
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, 4 * len(mats) + 100))
-        try:
-            for idx, m in enumerate(order):
-                w = WeylElement(self, idx, m, mats[m][1], word_of(m))
-                self.by_matrix[m] = w
-                self.elements.append(w)
-        finally:
-            sys.setrecursionlimit(old)
-        self.identity = self.by_matrix[ident]
-        self.simple_reflections = tuple(
-            self.by_matrix[gens[k][0]] for k in range(len(gens)))
+    def __init__(self, ident, simple_mats, limit=None):
+        gens = tuple(simple_mats)
+        bfs = closure([ident], lambda m: (mat_mul(g, m) for g in gens), limit)
+        if limit is not None and len(bfs) > limit:
+            raise RootDatumError("Weyl group closure exceeded the hard cap")
+        mats = sorted(bfs)
+        index = {m: i for i, m in enumerate(mats)}
+        left = [tuple(index[mat_mul(g, m)] for g in gens) for m in mats]
+        order = [index[m] for m in bfs]
+        depth = [-1] * len(mats)
+        depth[order[0]] = 0
+        for a in order:
+            for c in left[a]:
+                if depth[c] < 0:
+                    depth[c] = depth[a] + 1
+        # breadth-first order reaches every shorter element first
+        words = [()] * len(mats)
+        for a in order[1:]:
+            k = next(k for k, c in enumerate(left[a]) if depth[c] < depth[a])
+            words[a] = (k,) + words[left[a][k]]
+        self._left = left
+        self.elements = [WeylElement(self, i, m, words[i]) for i, m in enumerate(mats)]
+        self.by_matrix = dict(zip(mats, self.elements))
+        self.identity = self.elements[order[0]]
+        self.simple_reflections = tuple(self.elements[c] for c in left[order[0]])
 
     def __len__(self):
         return len(self.elements)
 
-    def _inverse_mat(self, m):
-        from .linalg import mat_inverse_int
-        return mat_inverse_int(m)
+    def _left_walk(self, letters, b):
+        """The element s_{letters[0]} ... s_{letters[-1]} times element b."""
+        left = self._left
+        for k in reversed(letters):
+            b = left[b][k]
+        return self.elements[b]
 
     def element_from_word(self, word):
-        w = self.identity
-        for i in word:
-            w = w * self.simple_reflections[i]
-        return w
+        return self._left_walk(word, self.identity.index)
 
     @cached_property
     def longest_element(self):
         return max(self.elements, key=lambda w: w.length)
 
+    def descend(self, x, walls, pair, act):
+        """(x+, w) with w x = x+ on the nonnegative side of every wall.
+
+        While pair(walls[k], x) < 0 for some k, the least such simple
+        reflection s_k is applied: x becomes act(s_k, x) and w becomes s_k w.
+        """
+        w = self.identity
+        simple = self.simple_reflections
+        while True:
+            for k, wall in enumerate(walls):
+                if pair(wall, x) < 0:
+                    x = act(simple[k], x)
+                    w = simple[k] * w
+                    break
+            else:
+                return x, w
+
+
+class WeylGroup(FiniteReflectionGroup):
+    """Finite Weyl group of a based root datum, closed on cocharacter matrices."""
+
+    MAX_ORDER = 1200000
+
+    def __init__(self, datum):
+        self.datum = datum
+        gens = [reflection_matrices(datum.roots[i], datum.coroots[i], datum.rank)
+                for i in datum.simples]
+        super().__init__(identity(datum.rank), [cochar for _, cochar in gens],
+                         self.MAX_ORDER)
+        # character-side matrices, shortest first: w = s_k (s_k w) with k
+        # the first letter of w's word
+        self.identity.mat_char = identity(datum.rank)
+        for w in sorted(self.elements, key=lambda w: w.length)[1:]:
+            k = w.word[0]
+            shorter = self.elements[self._left[w.index][k]]
+            w.mat_char = mat_mul(gens[k][0], shorter.mat_char)
+
     def orbit(self, mu):
         """W-orbit of a cocharacter, as a set of tuples."""
-        seen = {tuple(mu)}
-        frontier = [tuple(mu)]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for s in self.simple_reflections:
-                    img = s.apply_cochar(v)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return seen
+        return set(closure([tuple(mu)], lambda v: (
+            s.apply_cochar(v) for s in self.simple_reflections)))
 
     def dominant_representative(self, mu):
         """(mu+, w) with w * mu = mu+ dominant; least-index descent at each step."""
-        datum = self.datum
-        cur = tuple(mu)
-        w = self.identity
-        while True:
-            for k, a in enumerate(datum.simple_roots):
-                if dot(cur, a) < 0:
-                    cur = self.simple_reflections[k].apply_cochar(cur)
-                    w = self.simple_reflections[k] * w
-                    break
-            else:
-                return cur, w
+        return self.descend(tuple(mu), self.datum.simple_roots, dot,
+                            WeylElement.apply_cochar)
 
     def stabilizer_generators(self, mu):
         """Generators of Stab_W(mu): a standard parabolic conjugated back."""

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CMD = [sys.executable, "-m", "affweyl"]
 
 
@@ -122,3 +124,35 @@ def test_non_integer_element_entries_are_parse_errors():
         assert r.returncode == 2, element
         assert "error[cli.element_syntax]" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("adm", "--preset", "a1-sc", "--mu", "x"),
+    ("adm", "--preset", "a1-sc", "--mu", "1", "--facet", "0,x"),
+    ("branch", "--preset", "a1xa1-sc", "--action", "swap", "--lambda", "1,x"),
+], ids=["mu", "facet", "lambda"])
+def test_non_integer_coordinate_flags_are_argument_errors(args):
+    r = run(*args)
+    assert r.returncode == 1
+    assert "error: argument " + args[-2] in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_negative_bound_is_an_argument_error():
+    r = run("report", "--preset", "a1-sc", "--bound", "-1")
+    assert r.returncode == 1
+    assert "error: argument --bound" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("adm", "--preset", "a1-sc", "--mu", "1,2,3"),
+    ("branch", "--preset", "a1xa1-sc", "--action", "swap", "--lambda", "1"),
+    ("char", "--preset", "a1-sc", "--mu", "1,2"),
+], ids=["adm", "branch", "char"])
+def test_coordinate_count_errors_are_named(args):
+    r = run(*args)
+    assert r.returncode == 2
+    assert "error[cli.coordinate_count]" in r.stderr
+    assert "error[error]" not in r.stderr

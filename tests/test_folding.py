@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 
 from affweyl.errors import FoldingError, PairingError
-from affweyl.folding import (PinnedAction, coinvariants, fold,
+from affweyl.folding import (CoinvariantLattice, PinnedAction, coinvariants, fold,
                              invariant_pairing, pi0_fixed_torus,
                              trivial_action)
 from affweyl.linalg import dot, mat_mul
@@ -80,6 +80,15 @@ def test_invariant_pairing():
     assert invariant_pairing(act, torsion_cls, chi) == 0
     with pytest.raises(PairingError):
         invariant_pairing(act, co.project(mu), (0, 0, 1))  # not invariant
+
+
+def test_invariant_pairing_checks_every_relation_column():
+    """A lattice whose second relation column pairs nontrivially with chi
+    makes the pairing depend on the representative."""
+    act = trivial_action(load_datum("a1-sc"))
+    lattice = CoinvariantLattice(1, [(0,), (2,)])
+    with pytest.raises(PairingError):
+        invariant_pairing(act, lattice.project((1,)), (1,))
 
 
 def test_invariant_pairing_trivial_action():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affweyl.errors import UnknownPresetError
-from affweyl.presets import load_datum
-from affweyl.root_data import reflection_matrices
-from affweyl.linalg import dot, mat_mul, identity
+from affweyl.presets import list_presets, load_datum, load_group
+from affweyl.root_data import closure, reflection_matrices
+from affweyl.linalg import dot, mat_mul, identity, primitive_covector
 
 
 def brute_weyl_order(datum):
@@ -163,3 +163,57 @@ def test_dominant_rep_constant_on_orbits(mu, widx):
     assert dom1 == dom2
     again, u = g2.weyl.dominant_representative(dom1)
     assert again == dom1 and u.is_identity()
+
+
+GROUP_PRESETS = sorted(name for name, _, _ in list_presets())
+
+
+def inverted_lines(group, w):
+    """Relative lines sent to the negative side by w^-1 (w's length)."""
+    negs = {tuple(-x for x in p) for p in group.line_primitives}
+    f = len(w.mat)
+    count = 0
+    for cov in group.line_primitives:
+        img = tuple(sum(cov[i] * w.mat[i][j] for i in range(f)) for j in range(f))
+        if primitive_covector(img) in negs:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", GROUP_PRESETS)
+def test_relative_weyl_lengths_words_and_inverses(name):
+    group = load_group(name)
+    w0 = group.w0
+    for w in w0.elements:
+        assert w.length == inverted_lines(group, w)
+        assert w.word == min(all_reduced_words(w0, w))
+        assert w0.element_from_word(w.word) is w
+        assert w * w.inverse() is w0.identity
+
+
+def test_closure_keeps_seeds_then_breadth_first_layers():
+    graph = {3: [5, 1, 4], 1: [2], 5: [6], 4: [], 2: [3, 6], 6: []}
+    assert closure([3, 1, 3], graph.__getitem__) == [3, 1, 5, 4, 2, 6]
+    assert closure([], graph.__getitem__) == []
+
+
+def test_closure_stops_once_past_the_limit():
+    visited = []
+
+    def step(x):
+        visited.append(x)
+        return (10 * x + k for k in range(1, 10))
+
+    assert closure([0], step, limit=3) == [0, 1, 2, 3]
+    assert visited == [0]
+    assert closure([0], lambda x: (x + 1,), limit=5) == [0, 1, 2, 3, 4, 5]
+    assert closure([0], lambda x: (x + 1,) if x < 4 else (), limit=5) == [0, 1, 2, 3, 4]
+
+
+def test_weyl_element_hashes_repeat_across_loads():
+    first, second = load_datum("g2").weyl, load_datum("g2").weyl
+    assert first is not second
+    for a, b in zip(first.elements, second.elements):
+        assert a.index == b.index and a.mat == b.mat
+        assert hash(a) == hash(b)
+        assert a != b  # equality still requires the same group

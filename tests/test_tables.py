@@ -1,7 +1,8 @@
 """Table-driven W0 and Iwahori-Weyl arithmetic against independent oracles.
 
-Products in W0 are Cayley-table lookups and the W0 action on classes goes
-through one class-coordinate matrix per element.  The oracles here never
+Products in W0 are memoized walks through the left table of the shared
+reflection-group core, and the W0 action on classes goes through one
+class-coordinate matrix per element.  The oracles here never
 touch those tables: ambient (absolute) matrix products for W0, and
 ``CoinvariantLattice.act`` (lift, ambient matrix, project) for the action on
 classes and for Iwahori-Weyl products.  Every shipped group preset is
