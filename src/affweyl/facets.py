@@ -8,15 +8,20 @@ definition; a disagreement aborts, since it can only mean a broken preset.
 
 Admissible sets are computed from their definition: downward Bruhat closure
 of the translations by the projected orbit for the alcove, then the
-max-min double-coset representatives relative to J.  The maxima are computed
-as genuine Bruhat maxima of the resulting set, so the closed-form
+max-min double-coset representatives relative to J.  The closure steps by
+one-letter deletions of a reduced word, so every item lies below a
+translation, and the translations, all of one length, are the alcove
+maxima.  The maxima relative to a facet are computed as genuine
+all-pairs Bruhat maxima of the projected set, so the closed-form
 description (translations by the J-dominant orbit representatives, counted
 by double cosets) stays available as an independent check.
+``speciality_report`` builds each alcove closure, the affine ball and the
+length-zero representatives once and shares them between the facets.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product as iproduct
+from itertools import combinations, product as iproduct, takewhile
 
 from .errors import CapExceededError, InfiniteGroupError, InternalInvariantError
 from .linalg import dot, nullspace_rational, solve_rational
@@ -224,45 +229,102 @@ def admissible_set(group, mu, facet=None, length_cap=64):
     double-coset representatives.  ``length_cap`` bounds the length of the
     translations (the enumeration blows up combinatorially beyond it).
     """
+    return _relative(group, mu, facet, _alcove(group, mu, length_cap))
+
+
+def _deletions(group, g):
+    """The elements s_1 ... (s_k omitted) ... s_n omega, for k = 1 .. n, of a
+    reduced word g = s_1 ... s_n omega: each is prefix(k-1) * suffix(k+1)."""
+    om, letters = g.reduced_word()
+    simple = [group.simple_affine_element(i) for i in letters]
+    n = len(simple)
+    # suffix[n - 1 - k] = s_{k+2} ... s_n omega, what follows letter k + 1
+    suffix = [om]
+    for s in reversed(simple[1:]):
+        suffix.append(s * suffix[-1])
+    prefix = None
+    for k in range(n):
+        tail = suffix[n - 1 - k]
+        yield tail if prefix is None else prefix * tail
+        prefix = simple[k] if prefix is None else prefix * simple[k]
+
+
+def _alcove(group, mu, length_cap):
+    """(closure, maxima) of the alcove Adm(mu).
+
+    The closure list starts with the translations by the projected orbit
+    and then holds their one-letter deletions, breadth first.  Every other
+    item lies strictly below a translation (subword property), and the
+    translations all have one length, so the maxima are the translations.
+    """
     lam = _lambda_classes(group, mu)
     tops = [group.translation(c) for c in lam]
     for t in tops:
         if t.length > length_cap:
             raise CapExceededError(
                 f"translation length {t.length} exceeds cap {length_cap}")
+    adm = closure(tops, lambda g: _deletions(group, g))
+    _check_one_component(group, adm)
+    return adm, list(dict.fromkeys(tops))
 
-    def deletions(g):
-        om, letters = g.reduced_word()
-        for k in range(len(letters)):
-            yield group.element_from_word(letters[:k] + letters[k + 1:], om)
 
-    # a set built from a dict is sized once for all its keys, unlike one
-    # grown item by item; its size fixes its iteration order, hence the
-    # order and number of Bruhat tests in bruhat_maxima
-    adm = set(dict.fromkeys(closure(tops, deletions)))
+def _relative(group, mu, facet, alcove):
+    """The AdmissibleSet relative to the facet, from the alcove closure."""
+    adm, maxima = alcove
     if facet is not None and facet.letters:
-        adm = {group.dc_rep(g, facet.letters) for g in adm}
-    kclasses = {(group.kottwitz(g).free, group.kottwitz(g).torsion) for g in adm}
-    if len(kclasses) > 1:
-        raise InternalInvariantError(
-            "admissible set spans several connected components")
-    maxima = bruhat_maxima(group, adm)
+        adm = {rep for _, rep in _dc_reps(group, adm, facet.letters)}
+        _check_one_component(group, adm)
+        maxima = bruhat_maxima(group, adm)
     return AdmissibleSet(repr(mu), facet, frozenset(adm), frozenset(maxima))
 
 
+def _dc_reps(group, elements, letters):
+    """(g, dc_rep(g)) for the elements, in a stable sort by length.
+
+    s_j g and g s_j (j in J) lie in the double coset W_J g W_J, so a
+    representative found for either is reused.  When the elements form a
+    Bruhat lower ideal, an element with a descent in J meets its shorter
+    neighbour, which lies in the ideal and was visited first; so ``dc_rep``
+    runs once per double coset, on its minimal element, and never on an
+    element with a right descent in J.
+    """
+    simple = [group.simple_affine_element(j) for j in letters]
+    rep_of = {}
+    for g in sorted(elements, key=lambda g: g.length):
+        rep = None
+        for s in simple:
+            rep = rep_of.get(s * g)
+            if rep is None:
+                rep = rep_of.get(g * s)
+            if rep is not None:
+                break
+        if rep is None:
+            rep = group.dc_rep(g, letters)
+        rep_of[g] = rep
+        yield g, rep
+
+
+def _check_one_component(group, elements):
+    # the Kottwitz class of g depends on g.cls alone: test one g per class
+    classes = {g.cls: g for g in elements}
+    kclasses = {(k.free, k.torsion) for k in map(group.kottwitz, classes.values())}
+    if len(kclasses) > 1:
+        raise InternalInvariantError(
+            "admissible set spans several connected components")
+
+
 def bruhat_maxima(group, elements):
-    """Elements of the set not strictly below another element of the set."""
-    els = sorted(elements, key=lambda g: -g.length)
+    """Elements of the set not strictly below another element of the set.
+
+    The elements are visited in the total order (-length, key()), so the
+    Bruhat tests made depend only on the set's contents.
+    """
+    els = sorted(elements, key=lambda g: (-g.length, g.key()))
     maxima = []
     for g in els:
-        dominated = False
-        for h in els:
-            if h.length > g.length and group.bruhat_leq(g, h):
-                dominated = True
-                break
-        if dominated:
-            continue
-        maxima.append(g)
+        longer = takewhile(lambda h: h.length > g.length, els)
+        if not any(group.bruhat_leq(g, h) for h in longer):
+            maxima.append(g)
     return maxima
 
 
@@ -337,19 +399,25 @@ def parity_check(group, facet, bound):
     Components are indexed by the torsion part of pi1(G)_I; free central
     directions translate the picture without changing lengths.
     """
+    return _parity(group, facet, _components(group, bound))
+
+
+def _components(group, bound):
+    """Per torsion class of pi1(G)_I, in key order: the affine ball of radius
+    ``bound`` times the class's length-zero representative, by (length, key).
+    Each is a Bruhat lower ideal, as the ball is one."""
     ball = sorted(group.affine_ball(bound), key=lambda g: (g.length, g.key()))
     omegas = group.omega_torsion_representatives()
-    by_class = {}
-    for key, om in sorted(omegas.items()):
-        members = []
-        for w in ball:
-            u = w * om
-            if group.dc_rep(u, facet.letters) == u:
-                members.append(u)
-        by_class[key] = members
-    for key, members in by_class.items():
+    return [[w * om for w in ball] for _, om in sorted(omegas.items())]
+
+
+def _parity(group, facet, components):
+    for members in components:
         parities = {}
-        for u in members:
+        # _dc_reps keeps the (length, key) order of the members
+        for u, rep in _dc_reps(group, members, facet.letters):
+            if rep != u:
+                continue
             p = u.length % 2
             if (1 - p) in parities:
                 return False, (parities[1 - p], u)
@@ -399,20 +467,22 @@ def speciality_report(group, mu_sample=None, bound=None, length_cap=64):
     if bound is None:
         lmax = max((group.translation(c).length for c in mu_sample), default=0)
         bound = lmax + 2
+    facets = enumerate_facets(group)
+    counts = {facet.letters: [] for facet in facets}
+    for cls in mu_sample:
+        alcove = _alcove(group, cls, length_cap)
+        for facet in facets:
+            adm = _relative(group, cls, facet, alcove)
+            counts[facet.letters].append(len(adm.maxima))
+    components = _components(group, bound)
     rows = []
-    for facet in enumerate_facets(group):
+    for facet in facets:
         special = facet.is_special()
-        parity_ok, witness = parity_check(group, facet, bound)
-        unique = True
-        nonunique_mu = None
-        counts = []
-        for cls in mu_sample:
-            maxima, count = maximal_admissible(group, cls, facet,
-                                               length_cap=length_cap)
-            counts.append(count)
-            if count != 1 and unique:
-                unique = False
-                nonunique_mu = cls
+        parity_ok, witness = _parity(group, facet, components)
+        nonunique = [cls for cls, n in zip(mu_sample, counts[facet.letters])
+                     if n != 1]
+        unique = not nonunique
+        nonunique_mu = nonunique[0] if nonunique else None
         agree = special == parity_ok == unique
         rows.append({
             "facet": facet.letters,
@@ -421,7 +491,7 @@ def speciality_report(group, mu_sample=None, bound=None, length_cap=64):
             "parity_witness": witness,
             "unique_max": unique,
             "nonunique_mu": nonunique_mu,
-            "component_counts": tuple(counts),
+            "component_counts": tuple(counts[facet.letters]),
             "bound": bound,
             "agree": agree,
         })

@@ -431,6 +431,7 @@ class IwahoriWeylGroup:
         for s in self.simple_affine:
             s.element._word = (s.index,)
             s.element._omega = self.identity()
+        self._simple_by_index = {s.index: s.element for s in self.simple_affine}
 
     # -- basic elements -------------------------------------------------------
 
@@ -519,10 +520,11 @@ class IwahoriWeylGroup:
         return out
 
     def simple_affine_element(self, index):
-        for s in self.simple_affine:
-            if s.index == index:
-                return s.element
-        raise ElementParseError(f"no simple affine reflection with index {index}")
+        try:
+            return self._simple_by_index[index]
+        except KeyError:
+            raise ElementParseError(
+                f"no simple affine reflection with index {index}") from None
 
     def element_from_word(self, letters, omega=None):
         g = self.identity() if omega is None else omega

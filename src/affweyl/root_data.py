@@ -273,13 +273,23 @@ class FiniteReflectionGroup:
 
     def __init__(self, ident, simple_mats, limit=None):
         gens = tuple(simple_mats)
-        bfs = closure([ident], lambda m: (mat_mul(g, m) for g in gens), limit)
+        rows = []
+
+        def step(m):
+            # closure calls step once per item, in its result order
+            rows.append(tuple(mat_mul(g, m) for g in gens))
+            return rows[-1]
+
+        bfs = closure([ident], step, limit)
         if limit is not None and len(bfs) > limit:
             raise RootDatumError("Weyl group closure exceeded the hard cap")
         mats = sorted(bfs)
         index = {m: i for i, m in enumerate(mats)}
-        left = [tuple(index[mat_mul(g, m)] for g in gens) for m in mats]
         order = [index[m] for m in bfs]
+        # the closure's own products, moved from breadth-first to sorted order
+        left = [None] * len(mats)
+        for a, row in zip(order, rows):
+            left[a] = tuple(index[p] for p in row)
         depth = [-1] * len(mats)
         depth[order[0]] = 0
         for a in order:

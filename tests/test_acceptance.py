@@ -9,6 +9,8 @@ import subprocess
 import sys
 from itertools import product as iproduct
 
+import pytest
+
 from affweyl import facets as fc
 from affweyl import highest_weight as hw
 from affweyl.folding import coinvariants, fold
@@ -267,3 +269,21 @@ def test_criterion_9_cli_determinism():
     st = run("selftest")
     assert st.returncode == 0, st.stdout + st.stderr
     print("ACCEPTANCE 9 (CLI determinism and selftest): PASS")
+
+
+# The shipped presets PRESETS leaves out.  Criteria 3 and 4 run on each of
+# them, one test per preset, with the assertions of the tests above.
+OTHER_PRESETS = ["a1xa1-sc", "a2-ad", "a3-sc", "d3", "folded-a2", "folded-d3",
+                 "t1", "t1-inv"]
+
+
+@pytest.mark.parametrize("name", OTHER_PRESETS)
+def test_criterion_3_on_other_presets(name, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "PRESETS", [name])
+    test_criterion_3_maximal_admissible()
+
+
+@pytest.mark.parametrize("name", OTHER_PRESETS)
+def test_criterion_4_on_other_presets(name, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "PRESETS", [name])
+    test_criterion_4_speciality_criteria()

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from affweyl.linalg import identity, mat_mul
 from affweyl.presets import list_presets, load_group
+from affweyl.root_data import reflection_matrices
 
 PRESETS = sorted(name for name, _, _ in list_presets())
 SAMPLES = settings(max_examples=40, derandomize=True, deadline=None)
@@ -126,3 +127,23 @@ def test_hash_by_value_across_loads():
         assert hash(twin.cls) == hash(g.cls)
         assert hash(twin.w) == hash(g.w)
         assert twin != g  # equality still requires the same group
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_left_table_is_simple_left_multiplication(name):
+    """_left[a][k] is the index of gens[k] * mats[a], in the absolute Weyl
+    group (simple cocharacter reflections) and in the relative one (the
+    reflections in the simple relative lines)."""
+    group = group_of(name)
+    datum = group.datum
+    absolute = [reflection_matrices(datum.roots[i], datum.coroots[i], datum.rank)[1]
+                for i in datum.simples]
+    relative = [group.w0.reflections[k].mat for k in range(group.n_simple_lines)]
+    for weyl, gens in ((datum.weyl, absolute), (group.w0, relative)):
+        index = {w.mat: w.index for w in weyl.elements}
+        assert len(index) == len(weyl)
+        for a, w in enumerate(weyl.elements):
+            assert w.index == a
+            assert len(weyl._left[a]) == len(gens)
+            for k, gen in enumerate(gens):
+                assert weyl._left[a][k] == index[mat_mul(gen, w.mat)]
