@@ -14,6 +14,7 @@ a schema version field.
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import AffweylError, CoordinateCountError, InternalInvariantError
@@ -26,6 +27,12 @@ SCHEMA = "affweyl/1"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a coordinate list may begin with a minus sign (``--mu -1,0,0``);
+        # argparse's own pattern takes only a single number for a value
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
+
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 

@@ -300,6 +300,18 @@ class FoldedDatum:
     component_group: tuple
     nonreduced: bool
 
+    @cached_property
+    def dominance(self):
+        """Dominance order on ``char_coinv``, built once per fold."""
+        from .highest_weight import DominanceOrder  # it imports this module
+        return DominanceOrder(self)
+
+    @cached_property
+    def characters(self):
+        """Characters with torsion of this fold computed so far, by highest
+        weight class (filled by ``highest_weight.character_with_torsion``)."""
+        return {}
+
 
 def _simple_orbits(action):
     """Orbits of the action on the simple slots, ordered by least member."""

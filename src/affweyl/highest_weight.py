@@ -5,23 +5,34 @@ that datum is the dual based root datum, whose character lattice is the
 original cocharacter lattice).  The pipeline is:
 
 * Freudenthal's recursion for irreducible characters of a connected group,
-  exact over Q (the Weyl character formula stays available as a test
-  oracle);
+  in integers: with the Weyl-invariant integer Gram matrix G = sum of
+  cv cv^T over the coroots, every norm is taken on doubled weights,
+  q(2mu + 2rho) = (2mu + 2rho)^T G (2mu + 2rho), so that rho = two_rho / 2
+  never leaves Z; the multiplicity of mu is then 8 acc / (q(2lam + 2rho) -
+  q(2mu + 2rho)), checked to be exact.  ``kostant_multiplicity`` (Kostant's
+  alternating sum) and ``weyl_dimension`` (Weyl's dimension formula) are
+  independent oracles for it;
 * the dominance order on the character-side coinvariants, with the
-  projected simple roots as cone generators;
+  projected simple roots as cone generators; coefficients in the simple
+  roots come from one integer left inverse built per order;
 * component-group twists: weights of a disconnected-group irreducible are
   the connected-group weights lifted back to the full coinvariant lattice,
   the torsion offsets being dictated by the projected simple roots;
 * restriction along fold: project every weight of an absolute irreducible
   and greedily peel highest-weight characters from the top of the
   dominance order.
+
+A fold's dominance order and its characters with torsion are built once
+and kept on the ``FoldedDatum`` (``dominance``, ``characters``), so every
+caller holding the same fold reuses them.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DominanceError, PeelingError
 from .folding import fold
-from .linalg import dot, solve_rational, vec_add, vec_sub
+from .linalg import dot, mat_inverse, mat_vec, solve_rational, vec_add, vec_sub
 from .root_data import WeylElement, closure
 
 
@@ -76,12 +87,6 @@ def _invariant_form(datum):
     return tuple(tuple(row) for row in gram)
 
 
-def _form(gram, x, y):
-    return sum(Fraction(xi) * gij * Fraction(yj)
-               for xi, grow in zip(x, gram)
-               for gij, yj in zip(grow, [Fraction(v) for v in y]))
-
-
 def dominant_weights_below(datum, lam):
     """Dominant weights mu with lam - mu a nonnegative sum of simple roots."""
     height_cap = dot(datum.two_rho_check, lam)
@@ -104,54 +109,69 @@ def dominant_weights_below(datum, lam):
 
 def freudenthal(datum, lam):
     """Multiplicities of the dominant weights of the irreducible with
-    highest weight lam, by Freudenthal's recursion (exact)."""
+    highest weight lam, by Freudenthal's recursion (exact, in integers)."""
     if not datum.is_dominant_char(lam):
         raise DominanceError(f"{lam} is not a dominant weight")
     lam = tuple(lam)
     if datum.rank == 0 or not datum.roots:
         return {lam: 1}
     gram = _invariant_form(datum)
-    rho = tuple(Fraction(x, 2) for x in datum.two_rho)
-    lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, rho))
-    norm_top = _form(gram, lam_rho, lam_rho)
+    two_rho = datum.two_rho
+
+    def doubled(v):
+        return tuple(2 * a + r for a, r in zip(v, two_rho))
+
+    def norm(v):
+        return dot(v, mat_vec(gram, v))
+
+    reps = {}
 
     def dom_rep(v):
-        rep, _ = dominant_of_char(datum, v)
+        rep = reps.get(v)
+        if rep is None:
+            rep = reps[v] = dominant_of_char(datum, v)[0]
         return rep
 
+    # (alpha, G alpha, q(alpha)) for every positive root
+    positives = []
+    for alpha in datum.positive_roots:
+        g_alpha = mat_vec(gram, alpha)
+        positives.append((alpha, g_alpha, dot(alpha, g_alpha)))
+    norm_top = norm(doubled(lam))
     candidates = dominant_weights_below(datum, lam)
     candidates.sort(key=lambda v: -dot(datum.two_rho_check, v))
     mult = {lam: 1}
-    positives = datum.positive_roots
     for mu in candidates:
         if mu == lam:
             continue
-        mu_rho = tuple(Fraction(a) + b for a, b in zip(mu, rho))
-        denom = norm_top - _form(gram, mu_rho, mu_rho)
+        mu2 = doubled(mu)
+        norm_mu = norm(mu2)
+        denom = norm_top - norm_mu
         if denom <= 0:
             mult[mu] = 0
             continue
         acc = 0
-        for alpha in positives:
+        for alpha, g_alpha, q_alpha in positives:
+            pair = dot(mu, g_alpha)
+            pair2 = dot(mu2, g_alpha)
+            shifted = mu
             k = 1
             while True:
-                shifted = tuple(a + k * b for a, b in zip(mu, alpha))
-                rep = dom_rep(shifted)
-                m = mult.get(rep, 0)
+                shifted = vec_add(shifted, alpha)
+                m = mult.get(dom_rep(shifted), 0)
                 if m == 0:
                     # higher shifts leave the weight polytope once the norm
-                    # bound is exceeded
-                    sh_rho = tuple(Fraction(a) + b for a, b in zip(shifted, rho))
-                    if _form(gram, sh_rho, sh_rho) > norm_top:
+                    # bound is exceeded: q(2 shifted + 2 rho) > q(2 lam + 2 rho)
+                    if norm_mu + 4 * k * (pair2 + k * q_alpha) > norm_top:
                         break
                 else:
-                    acc += m * _form(gram, shifted, alpha)
+                    acc += m * (pair + k * q_alpha)
                 k += 1
-        val = 2 * acc / denom
-        if val.denominator != 1:
+        val, rem = divmod(8 * acc, denom)
+        if rem:
             raise PeelingError("Freudenthal recursion produced a non-integer")
-        if int(val):
-            mult[mu] = int(val)
+        if val:
+            mult[mu] = val
     return {w: m for w, m in mult.items() if m}
 
 
@@ -239,15 +259,48 @@ def _in_root_cone(datum, v):
 # -- dominance order on coinvariants ---------------------------------------------
 
 
+def _integer_left_inverse(columns):
+    """(N, d) with N integer such that N v / d is the solution
+    ``solve_rational`` returns for A x = v, A having the given columns,
+    whenever v lies in their span.
+
+    A column in the span of the earlier ones gets a zero row, as a free
+    variable of ``solve_rational`` is set to 0; the rows of the other
+    columns B are d (B^T B)^-1 B^T.
+    """
+    basis = []
+    pivots = []
+    for j, col in enumerate(columns):
+        spanned = (solve_rational(list(zip(*basis)), col) is not None
+                   if basis else not any(col))
+        if not spanned:
+            basis.append(col)
+            pivots.append(j)
+    ambient = len(columns[0]) if columns else 0
+    inv = mat_inverse(tuple(tuple(dot(a, b) for b in basis) for a in basis))
+    rows = {j: tuple(sum(g * b[i] for g, b in zip(grow, basis))
+                     for i in range(ambient))
+            for j, grow in zip(pivots, inv)}
+    den = lcm(*(x.denominator for row in rows.values() for x in row))
+    num = tuple(tuple(int(x * den) for x in rows[j]) if j in rows
+                else (0,) * ambient for j in range(len(columns)))
+    return num, den
+
+
 class DominanceOrder:
     """Partial order on the full coinvariant weight lattice generated by the
     projected positive roots."""
 
     def __init__(self, folded):
         self.folded = folded
+        simples = folded.datum.simple_roots
         self.generators = tuple(
             folded.char_coinv.make(r, t)
-            for r, t in zip(folded.datum.simple_roots, folded.simple_torsion))
+            for r, t in zip(simples, folded.simple_torsion))
+        # the matrix with the simple roots as columns, and its left inverse
+        self._rows = tuple(tuple(r[i] for r in simples)
+                           for i in range(folded.datum.rank))
+        self._left_inverse = _integer_left_inverse(simples)
 
     def leq(self, lam, mu):
         """lam <= mu iff mu - lam is a nonnegative integer combination of
@@ -268,11 +321,16 @@ class DominanceOrder:
         return acc.torsion == diff.torsion and acc.free == diff.free
 
     def _coefficients(self, free_vec):
-        simples = self.folded.datum.simple_roots
-        if not simples:
-            return None if any(free_vec) else ()
-        rows = [list(v) for v in zip(*simples)]
-        return solve_rational(rows, free_vec)
+        """Coefficients of free_vec in the projected simple roots, as
+        ``solve_rational`` gives them (ints when integral), or None when
+        free_vec is outside their span."""
+        num, den = self._left_inverse
+        scaled = mat_vec(num, free_vec)
+        if mat_vec(self._rows, scaled) != tuple(den * x for x in free_vec):
+            return None
+        if all(x % den == 0 for x in scaled):
+            return tuple(x // den for x in scaled)
+        return tuple(Fraction(x, den) for x in scaled)
 
 
 # -- disconnected groups: torsion lifting ------------------------------------------
@@ -297,7 +355,7 @@ def extend_by_component_twist(char, mu_cls, folded):
     component group itself is folded.component_group.
     """
     co = folded.char_coinv
-    order = DominanceOrder(folded)
+    order = folded.dominance
     height = folded.datum.two_rho_check
     if char.entries:
         top = max(char.entries, key=lambda w: (dot(height, w), w))
@@ -320,11 +378,19 @@ def extend_by_component_twist(char, mu_cls, folded):
 
 def character_with_torsion(folded, mu_cls):
     """Weight multiset of the irreducible of highest weight mu_cls on the
-    full (torsion-carrying) coinvariant lattice."""
-    if not folded.datum.is_dominant_char(mu_cls.free):
-        raise DominanceError(f"{mu_cls} is not dominant for the folded datum")
-    conn = irreducible_character(folded.datum, mu_cls.free)
-    return extend_by_component_twist(conn, mu_cls, folded)
+    full (torsion-carrying) coinvariant lattice.
+
+    Each class's character is computed once per fold and kept in
+    ``folded.characters``; every call returns its own copy.
+    """
+    char = folded.characters.get(mu_cls)
+    if char is None:
+        if not folded.datum.is_dominant_char(mu_cls.free):
+            raise DominanceError(f"{mu_cls} is not dominant for the folded datum")
+        conn = irreducible_character(folded.datum, mu_cls.free)
+        char = extend_by_component_twist(conn, mu_cls, folded)
+        folded.characters[mu_cls] = char
+    return WeightMultiset(char.entries)
 
 
 def induced_dimension(folded, mu_cls):

@@ -156,3 +156,21 @@ def test_coordinate_count_errors_are_named(args):
     assert r.returncode == 2
     assert "error[cli.coordinate_count]" in r.stderr
     assert "error[error]" not in r.stderr
+
+
+@pytest.mark.parametrize("args,value", [
+    (("adm", "--preset", "d3", "--mu"), "-1,0,0"),
+    (("branch", "--preset", "d3", "--action", "swap", "--lambda"), "-1,0,0"),
+    (("char", "--preset", "a3-sc", "--action", "swap", "--mu"), "-1,0"),
+], ids=["adm-mu", "branch-lambda", "char-mu"])
+def test_coordinate_list_may_begin_with_a_minus_sign(args, value):
+    spaced = run(*args, value)
+    glued = run(*args[:-1], f"{args[-1]}={value}")
+    assert (spaced.returncode, spaced.stdout, spaced.stderr) == \
+        (glued.returncode, glued.stdout, glued.stderr)
+    if args[0] == "adm":
+        assert spaced.returncode == 0 and "size: " in spaced.stdout
+    else:
+        assert spaced.returncode == 2
+        assert "error[dual.nondominant]" in spaced.stderr
+    assert "expected one argument" not in spaced.stderr
