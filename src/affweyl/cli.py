@@ -21,7 +21,7 @@ from .errors import AffweylError, CoordinateCountError, InternalInvariantError
 from . import facets as fc
 from . import highest_weight as hw
 from .folding import fold as fold_action
-from .presets import list_presets, load_action, load_datum, load_group
+from .presets import list_presets, load_action, load_group
 
 SCHEMA = "affweyl/1"
 
@@ -35,10 +35,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _class_json(cls):
-    return {"free": list(cls.free), "torsion": list(cls.torsion)}
 
 
 def _emit(doc, fmt, table_keys=None):
@@ -211,8 +207,8 @@ def cmd_report(args):
 
 
 def cmd_branch(args):
-    datum = load_datum(args.preset)
     action = load_action(args.preset, args.action)
+    datum = action.datum
     lam = args.lam
     if len(lam) != datum.rank:
         raise CoordinateCountError(f"lambda needs {datum.rank} coordinates")
@@ -233,7 +229,6 @@ def cmd_branch(args):
 
 
 def cmd_char(args):
-    datum = load_datum(args.preset)
     action = load_action(args.preset, args.action)
     fd = fold_action(action)
     co = fd.char_coinv

@@ -20,6 +20,10 @@ class UnknownPresetError(AffweylError):
     name = "presets.unknown"
 
 
+class PresetSyntaxError(AffweylError):
+    name = "presets.syntax"
+
+
 class FoldingError(AffweylError):
     name = "folding.invalid_action"
 

@@ -20,11 +20,12 @@ length-zero representatives once and shares them between the facets.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iproduct, takewhile
 
 from .errors import CapExceededError, InfiniteGroupError, InternalInvariantError
-from .linalg import dot, nullspace_rational, solve_rational
+from .linalg import dot, nullspace_rational, primitive_covector, solve_rational
 from .root_data import closure
 
 
@@ -59,15 +60,8 @@ class Facet:
         """Indices into group.rel_roots of the subsystem R_J."""
         g = self.group
         out = []
-        for i, (cov, pos, mult) in enumerate(g.rel_roots):
-            from .linalg import primitive_covector
-            prim = primitive_covector(cov)
-            neg = tuple(-x for x in prim)
-            line = None
-            for lid, p in enumerate(g.line_primitives):
-                if p == prim or p == neg:
-                    line = lid
-                    break
+        for i, (cov, _, _) in enumerate(g.rel_roots):
+            line = g.line_ids.get(primitive_covector(cov))
             if line is None:
                 raise InternalInvariantError("relative root without a line")
             if g.families[line].s_lin in self.w0j:
@@ -109,7 +103,6 @@ class Facet:
         return all_, pos
 
     def _alcove_side_vector(self):
-        from fractions import Fraction
         g = self.group
         p0 = tuple(Fraction(x, g.p0_den) for x in g.p0_num)
         return tuple(a - b for a, b in zip(p0, self.hull_point))
@@ -156,7 +149,7 @@ class Facet:
             if any(dot(fam.covector, b) != 0 for b in direction_space):
                 return False
             val = dot(fam.covector, vstar)
-            if hasattr(val, "denominator") and val.denominator != 1:
+            if val.denominator != 1:
                 return False
         return True
 

@@ -84,13 +84,13 @@ class PinnedAction:
         datum = self.datum
         rootset = set(datum.roots)
         simpleset = {datum.roots[i] for i in datum.simples}
-        for g in self.generators:
-            if len(g) != datum.rank:
-                raise FoldingError("generator has wrong size")
-            try:
-                ginv_t = mat_transpose(mat_inverse_int(g))
-            except ValueError:
-                raise FoldingError("generator is not a lattice automorphism")
+        if any(len(g) != datum.rank for g in self.generators):
+            raise FoldingError("generator has wrong size")
+        try:
+            cochar = self.cochar_generators
+        except ValueError:
+            raise FoldingError("generator is not a lattice automorphism")
+        for g, ginv_t in zip(self.generators, cochar):
             for i, r in enumerate(datum.roots):
                 img = mat_vec(g, r)
                 if img not in rootset:
@@ -170,7 +170,6 @@ class CoinvariantLattice:
         self.u = u
         self.uinv = mat_inverse_int(u)
         self.v = v
-        self.vinv = mat_inverse_int(v)
         diag = [s[i][i] if i < len(s[0]) else 0 for i in range(n)]
         self.diagonal = tuple(diag)
         self.torsion_positions = tuple(i for i, d in enumerate(diag) if d > 1)

@@ -14,7 +14,8 @@ original cocharacter lattice).  The pipeline is:
   independent oracles for it;
 * the dominance order on the character-side coinvariants, with the
   projected simple roots as cone generators; coefficients in the simple
-  roots come from one integer left inverse built per order;
+  roots come from the folded datum's integer left inverse of its simple
+  roots, the one its positivity was read from;
 * component-group twists: weights of a disconnected-group irreducible are
   the connected-group weights lifted back to the full coinvariant lattice,
   the torsion offsets being dictated by the projected simple roots;
@@ -28,11 +29,10 @@ caller holding the same fold reuses them.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import DominanceError, PeelingError
 from .folding import fold
-from .linalg import dot, mat_inverse, mat_vec, solve_rational, vec_add, vec_sub
+from .linalg import dot, mat_vec, vec_add, vec_sub
 from .root_data import WeylElement, closure
 
 
@@ -251,40 +251,11 @@ def kostant_multiplicity(datum, lam, mu):
 
 
 def _in_root_cone(datum, v):
-    srows = [list(r) for r in zip(*datum.simple_roots)]
-    sol = solve_rational(srows, v)
-    return sol is not None and all(x >= 0 for x in sol)
+    coords = datum._root_coordinates(v)
+    return coords is not None and all(x >= 0 for x in coords)
 
 
 # -- dominance order on coinvariants ---------------------------------------------
-
-
-def _integer_left_inverse(columns):
-    """(N, d) with N integer such that N v / d is the solution
-    ``solve_rational`` returns for A x = v, A having the given columns,
-    whenever v lies in their span.
-
-    A column in the span of the earlier ones gets a zero row, as a free
-    variable of ``solve_rational`` is set to 0; the rows of the other
-    columns B are d (B^T B)^-1 B^T.
-    """
-    basis = []
-    pivots = []
-    for j, col in enumerate(columns):
-        spanned = (solve_rational(list(zip(*basis)), col) is not None
-                   if basis else not any(col))
-        if not spanned:
-            basis.append(col)
-            pivots.append(j)
-    ambient = len(columns[0]) if columns else 0
-    inv = mat_inverse(tuple(tuple(dot(a, b) for b in basis) for a in basis))
-    rows = {j: tuple(sum(g * b[i] for g, b in zip(grow, basis))
-                     for i in range(ambient))
-            for j, grow in zip(pivots, inv)}
-    den = lcm(*(x.denominator for row in rows.values() for x in row))
-    num = tuple(tuple(int(x * den) for x in rows[j]) if j in rows
-                else (0,) * ambient for j in range(len(columns)))
-    return num, den
 
 
 class DominanceOrder:
@@ -297,10 +268,6 @@ class DominanceOrder:
         self.generators = tuple(
             folded.char_coinv.make(r, t)
             for r, t in zip(simples, folded.simple_torsion))
-        # the matrix with the simple roots as columns, and its left inverse
-        self._rows = tuple(tuple(r[i] for r in simples)
-                           for i in range(folded.datum.rank))
-        self._left_inverse = _integer_left_inverse(simples)
 
     def leq(self, lam, mu):
         """lam <= mu iff mu - lam is a nonnegative integer combination of
@@ -324,10 +291,10 @@ class DominanceOrder:
         """Coefficients of free_vec in the projected simple roots, as
         ``solve_rational`` gives them (ints when integral), or None when
         free_vec is outside their span."""
-        num, den = self._left_inverse
-        scaled = mat_vec(num, free_vec)
-        if mat_vec(self._rows, scaled) != tuple(den * x for x in free_vec):
+        scaled = self.folded.datum._root_coordinates(free_vec)
+        if scaled is None:
             return None
+        den = self.folded.datum.simple_root_inverse[1]
         if all(x % den == 0 for x in scaled):
             return tuple(x // den for x in scaled)
         return tuple(Fraction(x, den) for x in scaled)

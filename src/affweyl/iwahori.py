@@ -271,6 +271,10 @@ class IwahoriWeylGroup:
         others.sort()
         self.line_primitives = tuple(simple_first + others)
         self.n_simple_lines = len(simple_first)
+        # the line of every relative root direction, under either sign
+        self.line_ids = {}
+        for line_id, prim in enumerate(self.line_primitives):
+            self.line_ids[prim] = self.line_ids[tuple(-x for x in prim)] = line_id
         self.w0 = RelWeylGroup(action, co, self.line_primitives, self.n_simple_lines)
 
     def _kottwitz_of_class(self, cls):
@@ -299,12 +303,8 @@ class IwahoriWeylGroup:
         assigned = {}
         for cov, stride in wall_table:
             prim = primitive_covector(cov)
-            line_id = None
-            for i, p in enumerate(self.line_primitives):
-                if p == prim:
-                    line_id = i
-                    break
-            if line_id is None:
+            line_id = self.line_ids.get(prim)
+            if line_id is None or self.line_primitives[line_id] != prim:
                 raise EchelonnageError(
                     f"wall direction {cov} is not a relative root direction")
             if line_id in assigned:

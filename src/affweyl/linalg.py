@@ -5,7 +5,8 @@ exact by construction.  Matrices are tuples of rows.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
 from operator import add, mul, sub
 
 
@@ -42,37 +43,42 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_inverse(m):
-    """Exact inverse of a square rational matrix (tuples of rows)."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
+def _reduce(rows, extra, n):
+    """Gauss-Jordan reduction over Q of the augmented rows ``rows | extra``.
+
+    Pivots are taken in the first ``n`` columns only, each at the first row
+    with a nonzero entry; the extra columns are carried along.  Returns the
+    reduced rows (lists of Fractions) and the pivot columns, pivot row i
+    having its 1 in column ``pivots[i]``.
+    """
+    aug = [[Fraction(x) for x in row] + [Fraction(x) for x in ext]
+           for row, ext in zip_longest(rows, extra, fillvalue=())]
+    pivots = []
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        p = aug[r][col]
+        aug[r] = [x / p for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+    return aug, pivots
 
 
 def mat_inverse_int(m):
     """Inverse of a unimodular integer matrix, returned with int entries."""
-    inv = mat_inverse(m)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(tuple(irow))
-    return tuple(out)
+    n = len(m)
+    red, pivots = _reduce(m, identity(n), n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    if any(x.denominator != 1 for row in red for x in row[n:]):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in red)
 
 
 def solve_rational(rows, rhs):
@@ -80,65 +86,51 @@ def solve_rational(rows, rhs):
 
     ``rows`` is a sequence of covectors; free variables are set to 0.
     """
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rhs = [Fraction(b) for b in rhs]
     if not rows:
         return ()
     n = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
-        rhs[r] = rhs[r] / p
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rhs[i] != 0:
-            return None
+    red, pivots = _reduce(rows, [(b,) for b in rhs], n)
+    if any(row[n] != 0 for row in red[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = rhs[i]
+    for row, col in zip(red, pivots):
+        x[col] = row[n]
     return tuple(x)
 
 
 def nullspace_rational(rows, n):
     """Basis (tuple of vectors) of the right nullspace of the given covectors."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    red, pivots = _reduce(rows, (), n)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -rows[i][fc]
+        for row, col in zip(red, pivots):
+            v[col] = -row[fc]
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def integer_left_inverse(columns):
+    """(N, d) with N integer such that N v / d is the solution
+    ``solve_rational`` returns for A x = v, A having the given columns,
+    whenever v lies in their span.
+
+    One reduction of A | 1 gives the transform T with T A in reduced form:
+    the row of N for the i-th pivot column is the i-th row of T, a column
+    off the pivots gets a zero row (a free variable of ``solve_rational``
+    is set to 0), and d is the least common denominator.
+    """
+    m = len(columns)
+    ambient = len(columns[0]) if columns else 0
+    red, pivots = _reduce(tuple(zip(*columns)), identity(ambient), m)
+    rows = {col: row[m:] for row, col in zip(red, pivots)}
+    den = lcm(*(x.denominator for row in rows.values() for x in row))
+    num = tuple(tuple(int(x * den) for x in rows[j]) if j in rows
+                else (0,) * ambient for j in range(m))
+    return num, den
 
 
 def primitive_covector(v):

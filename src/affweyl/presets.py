@@ -37,10 +37,10 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import UnknownPresetError, FoldingError
+from .errors import FoldingError, PresetSyntaxError, UnknownPresetError
 from .folding import PinnedAction, trivial_action
 from .iwahori import IwahoriWeylGroup
-from .linalg import solve_rational
+from .linalg import identity, mat_mul, mat_transpose
 from .root_data import BasedRootDatum
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -73,6 +73,15 @@ def _clean_lines(text):
             yield line
 
 
+def _ints(text, where):
+    """The whitespace-separated integers of ``text``; ``where`` names the
+    file and directive for the error."""
+    try:
+        return tuple(int(x) for x in text.split())
+    except ValueError:
+        raise PresetSyntaxError(f"{where}: expected integers, got {text!r}") from None
+
+
 def _parse_datum_file(path):
     rank = None
     simples = ()
@@ -88,16 +97,19 @@ def _parse_datum_file(path):
         elif head == "lattice":
             pass
         elif head == "rank":
-            rank = int(rest)
+            values = _ints(rest, f"{path}: rank")
+            if len(values) != 1:
+                raise PresetSyntaxError(f"{path}: rank: expected one integer, got {rest!r}")
+            rank = values[0]
         elif head == "simples":
-            simples = tuple(int(x) for x in rest.split())
+            simples = _ints(rest, f"{path}: simples")
         elif head == "root":
             left, _, right = rest.partition("|")
-            rvec = tuple(int(x) for x in left.split())
+            rvec = _ints(left, f"{path}: root")
             rkw = right.strip().split()
             if not rkw or rkw[0] != "coroot":
                 raise UnknownPresetError(f"{path}: root line without coroot")
-            cvec = tuple(int(x) for x in rkw[1:])
+            cvec = _ints(" ".join(rkw[1:]), f"{path}: coroot")
             roots.append(rvec)
             coroots.append(cvec)
         elif head == "action":
@@ -111,35 +123,29 @@ def _parse_datum_file(path):
     return datum, actions
 
 
-def _action_matrix(datum, decl):
+def _action_matrix(datum, decl, where):
     parts = decl.split()
+    if not parts:
+        raise PresetSyntaxError(f"{where}: empty action declaration")
     if parts[0] == "matrix":
         body = " ".join(parts[1:])
-        rows = [tuple(int(x) for x in r.split()) for r in body.split(";")]
-        return tuple(rows)
+        return tuple(_ints(r, where) for r in body.split(";"))
     if parts[0] == "perm":
-        perm = [int(x) for x in parts[1:]]
+        perm = _ints(" ".join(parts[1:]), where)
         if sorted(perm) != list(range(len(datum.simples))):
             raise FoldingError("action permutation is not a permutation")
-        # linear extension: need the simple roots to span the lattice
-        srcs = [datum.roots[i] for i in datum.simples]
-        imgs = [datum.roots[datum.simples[perm[k]]] for k in range(len(perm))]
-        cols = []
-        for k in range(datum.rank):
-            e = tuple(1 if i == k else 0 for i in range(datum.rank))
-            sol = solve_rational([list(v) for v in zip(*srcs)], e)
-            if sol is None:
-                raise FoldingError(
-                    "permutation action needs the simple roots to span; "
-                    "declare a matrix instead")
-            img = [0] * datum.rank
-            for c, v in zip(sol, imgs):
-                img = [a + c * b for a, b in zip(img, v)]
-            if any(Fraction(x).denominator != 1 for x in img):
-                raise FoldingError("permutation action is not integral on the lattice")
-            cols.append(tuple(int(x) for x in img))
-        return tuple(tuple(cols[j][i] for j in range(datum.rank))
-                     for i in range(datum.rank))
+        # linear extension: M = imgs N / d, with (N, d) the simple roots'
+        # left inverse, needs the simple roots to span the lattice
+        if any(datum._root_coordinates(e) is None for e in identity(datum.rank)):
+            raise FoldingError(
+                "permutation action needs the simple roots to span; "
+                "declare a matrix instead")
+        num, den = datum.simple_root_inverse
+        imgs = mat_transpose([datum.roots[datum.simples[k]] for k in perm])
+        scaled = mat_mul(imgs, num)
+        if any(x % den for row in scaled for x in row):
+            raise FoldingError("permutation action is not integral on the lattice")
+        return tuple(tuple(x // den for x in row) for row in scaled)
     raise UnknownPresetError(f"unknown action declaration {decl!r}")
 
 
@@ -159,8 +165,15 @@ def _parse_group_file(path):
             action = rest
         elif head == "wall":
             left, _, right = rest.partition("|")
-            cov = tuple(int(x) for x in left.split())
-            walls.append((cov, Fraction(right.strip())))
+            cov = _ints(left, f"{path}: wall")
+            try:
+                stride = Fraction(right.strip())
+            except (ValueError, ZeroDivisionError):
+                stride = 0
+            if stride == 0:
+                raise PresetSyntaxError(
+                    f"{path}: wall stride must be a nonzero rational, got {right.strip()!r}")
+            walls.append((cov, stride))
         else:
             raise UnknownPresetError(f"{path}: unknown directive {head!r}")
     if base is None:
@@ -186,7 +199,7 @@ def load_action(datum_name, action_name):
     if action_name not in actions:
         raise UnknownPresetError(
             f"datum {datum_name!r} has no action {action_name!r}")
-    mat = _action_matrix(datum, actions[action_name])
+    mat = _action_matrix(datum, actions[action_name], f"{path}: action {action_name}")
     return PinnedAction(datum, (mat,), name=action_name)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import RootDatumError
-from .linalg import dot, identity, mat_mul, mat_vec, solve_rational
+from .linalg import dot, identity, integer_left_inverse, mat_mul, mat_vec
 
 
 def reflection_matrices(root, coroot, rank):
@@ -35,6 +35,20 @@ def reflection_matrices(root, coroot, rank):
         for i in range(rank)
     )
     return char, cochar
+
+
+def _scaled_coordinates(columns, inverse, v):
+    """N v for ``inverse`` = (N, d) = ``integer_left_inverse(columns)``, or
+    None when v lies outside the span of the columns; N v / d are then the
+    coefficients of v in the columns."""
+    num, den = inverse
+    scaled = mat_vec(num, v)
+    combo = [0] * len(v)
+    for x, col in zip(scaled, columns):
+        combo = [a + x * b for a, b in zip(combo, col)]
+    if any(a != den * b for a, b in zip(combo, v)):
+        return None
+    return scaled
 
 
 @dataclass(frozen=True)
@@ -67,23 +81,30 @@ class BasedRootDatum:
         return tuple(self.coroots[i] for i in self.simples)
 
     @cached_property
-    def _simple_coords(self):
-        """Coordinates of every root in the simple-root basis (fractions)."""
-        coords = []
-        srows = [list(r) for r in zip(*self.simple_roots)] if self.simples else []
-        for r in self.roots:
-            if not self.simples:
-                raise RootDatumError("roots present but no simple roots")
-            sol = solve_rational(srows, r)
-            if sol is None:
-                raise RootDatumError("root outside the span of the simple roots")
-            coords.append(sol)
-        return tuple(coords)
+    def simple_root_inverse(self):
+        """(N, d) = ``integer_left_inverse`` of the simple roots: N v / d are
+        the coefficients of v in the simple roots, for v in their span."""
+        return integer_left_inverse(self.simple_roots)
+
+    @cached_property
+    def simple_coroot_inverse(self):
+        """(N, d) = ``integer_left_inverse`` of the simple coroots."""
+        return integer_left_inverse(self.simple_coroots)
+
+    def _root_coordinates(self, v):
+        """d times the coefficients of v in the simple roots, or None when v
+        lies outside their span."""
+        return _scaled_coordinates(self.simple_roots, self.simple_root_inverse, v)
 
     @cached_property
     def positive_indices(self):
+        if self.roots and not self.simples:
+            raise RootDatumError("roots present but no simple roots")
         pos = []
-        for i, c in enumerate(self._simple_coords):
+        for i, r in enumerate(self.roots):
+            c = self._root_coordinates(r)
+            if c is None:
+                raise RootDatumError("root outside the span of the simple roots")
             if all(x >= 0 for x in c):
                 pos.append(i)
             elif not all(x <= 0 for x in c):
@@ -153,15 +174,12 @@ class BasedRootDatum:
                 k = self.root_index[img]
                 if mat_vec(cochar, self.coroots[j]) != self.coroots[k]:
                     raise RootDatumError("coroot bijection not reflection-equivariant")
-        _ = self.positive_indices
         # positivity preserved by the coroot bijection
-        if self.roots:
-            pos = set(self.positive_indices)
-            cosimple = [list(r) for r in zip(*self.simple_coroots)]
-            for i in pos:
-                sol = solve_rational(cosimple, self.coroots[i])
-                if sol is None or not all(x >= 0 for x in sol):
-                    raise RootDatumError("coroot bijection does not preserve positivity")
+        for i in self.positive_indices:
+            c = _scaled_coordinates(self.simple_coroots, self.simple_coroot_inverse,
+                                    self.coroots[i])
+            if c is None or not all(x >= 0 for x in c):
+                raise RootDatumError("coroot bijection does not preserve positivity")
         for i in self.simples:
             if i not in set(self.positive_indices):
                 raise RootDatumError("simple root is not positive")

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from affweyl import cli
 from affweyl import highest_weight as hw
 from affweyl.folding import fold, trivial_action
-from affweyl.linalg import dot, mat_vec, solve_rational
+from affweyl.linalg import dot, integer_left_inverse, mat_vec, solve_rational
 from affweyl.presets import list_presets, load_action, load_datum
 
 SAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
@@ -140,7 +140,7 @@ def test_left_inverse_agrees_with_solve_rational(data):
         c = data.draw(st.tuples(*[entry] * len(columns)))
         columns += (tuple(sum(ci * col[i] for ci, col in zip(c, columns))
                           for i in range(n)),)
-    num, den = hw._integer_left_inverse(columns)
+    num, den = integer_left_inverse(columns)
     rows = tuple(tuple(col[i] for col in columns) for i in range(n))
     for _ in range(3):
         if columns and data.draw(st.booleans()):

@@ -67,3 +67,33 @@ def test_datum_preset_roundtrip():
     for name in ("a1-sc", "g2", "d3"):
         datum = load_datum(name)
         assert datum.name == name
+
+
+GOOD_DATUM = ("name z8\nrank 1\nsimples 0\nroot 2 | coroot 1\nroot -2 | coroot -1\n"
+              "action swap | perm 0\n")
+BRANCH_Z8 = ["branch", "--preset", "z8", "--action", "swap", "--lambda", "1"]
+LENGTH_ZG = ["wgroup", "length", "--preset", "zg", "--element", "t[1]"]
+
+
+@pytest.mark.parametrize("filename,text,argvs", [
+    ("z8.datum", GOOD_DATUM.replace("rank 1", "rank x"), [BRANCH_Z8, ["list-presets"]]),
+    ("z8.datum", GOOD_DATUM.replace("simples 0", "simples a"), [BRANCH_Z8, ["list-presets"]]),
+    ("z8.datum", GOOD_DATUM.replace("root 2 |", "root 2.0 |"), [BRANCH_Z8, ["list-presets"]]),
+    ("z8.datum", GOOD_DATUM.replace("coroot 1\n", "coroot one\n"),
+     [BRANCH_Z8, ["list-presets"]]),
+    ("z8.datum", GOOD_DATUM.replace("perm 0", "perm x"), [BRANCH_Z8]),
+    ("z8.datum", GOOD_DATUM.replace("perm 0", "matrix 1/2"), [BRANCH_Z8]),
+    ("z8.datum", GOOD_DATUM.replace("perm 0", ""), [BRANCH_Z8]),
+    ("zg.group", "base a1-sc\naction trivial\nwall 2 | 0\n", [LENGTH_ZG, ["list-presets"]]),
+    ("zg.group", "base a1-sc\naction trivial\nwall 2 | half\n", [LENGTH_ZG, ["list-presets"]]),
+    ("zg.group", "base a1-sc\naction trivial\nwall 2x | 1\n", [LENGTH_ZG, ["list-presets"]]),
+])
+def test_malformed_preset_gives_named_error(tmp_path, monkeypatch, capsys,
+                                            filename, text, argvs):
+    from affweyl import cli
+    (tmp_path / filename).write_text(text)
+    monkeypatch.setenv("AFFWEYL_PRESET_PATH", str(tmp_path))
+    for argv in argvs:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error[presets." in err and "Traceback" not in err, (argv, err)
