@@ -19,7 +19,6 @@ by double cosets) stays available as an independent check.
 length-zero representatives once and shares them between the facets.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iproduct, takewhile
@@ -201,12 +200,23 @@ def _lambda_classes(group, mu):
     return lambda_mu(group, tuple(mu))
 
 
-@dataclass
 class AdmissibleSet:
-    mu_description: str
-    facet: Facet
-    elements: frozenset
-    maxima: frozenset
+    """Elements and Bruhat maxima of an admissible set; sets compare by
+    (mu_description, facet, elements, maxima) and are unhashable."""
+
+    __hash__ = None
+
+    def __init__(self, mu_description, facet, elements, maxima):
+        self.mu_description = mu_description
+        self.facet = facet
+        self.elements = elements
+        self.maxima = maxima
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mu_description, self.facet, self.elements, self.maxima) == \
+            (other.mu_description, other.facet, other.elements, other.maxima)
 
     @property
     def size(self):

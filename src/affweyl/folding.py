@@ -11,7 +11,6 @@ the flag is recorded and the Coxeter realization of the nonreduced restricted
 system is deferred to the wall tables of the affine layer).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mod
@@ -23,23 +22,33 @@ from .root_data import BasedRootDatum, closure
 from .smith import smith_normal_form, verify_decomposition
 
 
-@dataclass(frozen=True)
 class PinnedAction:
     """A finite group of based-root-datum automorphisms.
 
     ``generators`` are character-side lattice matrices.  Validation checks
     the pinning conditions: each generator permutes the roots, preserves the
     set of simple roots, and is compatible with the coroot bijection.
+    Actions compare and hash by (datum, generators, name).
     """
-
-    datum: BasedRootDatum
-    generators: tuple
-    name: str = ""
 
     MAX_ORDER = 10000
 
-    def __post_init__(self):
+    def __init__(self, datum, generators, name=""):
+        self.datum = datum
+        self.generators = generators
+        self.name = name
         self._validate()
+
+    def _key(self):
+        return (self.datum, self.generators, self.name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def cochar_generators(self):
@@ -108,13 +117,19 @@ def trivial_action(datum):
     return PinnedAction(datum, (identity(datum.rank),), name="trivial")
 
 
-@dataclass(frozen=True, eq=False)
 class CoinvariantClass:
-    """Element of a coinvariant lattice: free coordinates plus torsion."""
+    """Element of a coinvariant lattice: free coordinates plus torsion.
 
-    lattice: object
-    free: tuple
-    torsion: tuple
+    Classes are equal when they share a lattice and coordinates, and hash
+    by their coordinates.
+    """
+
+    __slots__ = ("lattice", "free", "torsion")
+
+    def __init__(self, lattice, free, torsion):
+        self.lattice = lattice
+        self.free = free
+        self.torsion = torsion
 
     def __add__(self, other):
         return self.lattice.make(vec_add(self.free, other.free),
@@ -163,12 +178,12 @@ class CoinvariantLattice:
             cols = [(0,) * n]
         self.relation_matrix = tuple(
             tuple(c[i] for c in cols) for i in range(n))
-        s, u, v = smith_normal_form(self.relation_matrix)
-        if not verify_decomposition(self.relation_matrix, s, u, v):
+        s, u, v, uinv, vinv = smith_normal_form(self.relation_matrix, inverses=True)
+        if not verify_decomposition(self.relation_matrix, s, u, v, uinv, vinv):
             raise FoldingError("smith decomposition failed to verify")
         self.smith = s
         self.u = u
-        self.uinv = mat_inverse_int(u)
+        self.uinv = uinv
         self.v = v
         diag = [s[i][i] if i < len(s[0]) else 0 for i in range(n)]
         self.diagonal = tuple(diag)
@@ -280,7 +295,6 @@ def average_lift(action, cls, side="cocharacters"):
     return tuple(x / order for x in acc)
 
 
-@dataclass(frozen=True, eq=False)
 class FoldedDatum:
     """Based root datum of the neutral fixed-point group.
 
@@ -288,16 +302,19 @@ class FoldedDatum:
     coinvariants; ``component_group`` is the torsion (the character group of
     the component group of the fixed maximal torus); ``simple_torsion``
     records the torsion coordinates of the projected simple roots, which is
-    what lifts folded weights back to the full coinvariant lattice.
+    what lifts folded weights back to the full coinvariant lattice.  Folds
+    compare by identity.
     """
 
-    action: PinnedAction
-    char_coinv: CoinvariantLattice
-    datum: BasedRootDatum
-    orbit_map: tuple
-    simple_torsion: tuple
-    component_group: tuple
-    nonreduced: bool
+    def __init__(self, action, char_coinv, datum, orbit_map, simple_torsion,
+                 component_group, nonreduced):
+        self.action = action
+        self.char_coinv = char_coinv
+        self.datum = datum
+        self.orbit_map = orbit_map
+        self.simple_torsion = simple_torsion
+        self.component_group = component_group
+        self.nonreduced = nonreduced
 
     @cached_property
     def dominance(self):

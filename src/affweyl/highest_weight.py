@@ -278,8 +278,6 @@ class DominanceOrder:
             return False
         if any(c < 0 or c.denominator != 1 for c in coeffs):
             return False
-        tors = self.folded.char_coinv.make(
-            (0,) * self.folded.char_coinv.free_rank, diff.torsion)
         acc = self.folded.char_coinv.make(
             (0,) * self.folded.char_coinv.free_rank,
             (0,) * len(self.folded.char_coinv.torsion))

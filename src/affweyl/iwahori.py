@@ -21,8 +21,10 @@ are validated against lattice preservation, Weyl symmetry of the
 arrangement, and integrality of the wall reflections, so a wrong table
 fails at construction time rather than corrupting lengths.
 
-Groups and elements are immutable once constructed; the length and word
-caches are write-once with idempotent fills.
+No value changes after construction: a group's tables and walls, an
+element's class and finite part, a class's coordinates.  Only caches change
+(lengths, reduced words, W0 products), and each entry is filled once, with
+the value any later fill would give.
 
 Products
 --------
@@ -40,7 +42,7 @@ from math import gcd
 
 from .errors import EchelonnageError, ElementParseError, InternalInvariantError
 from .folding import CoinvariantLattice, average_lift, coinvariants
-from .linalg import (dot, identity, mat_mul, mat_vec, nullspace_rational,
+from .linalg import (dot, identity, mat_mul, mat_transpose, mat_vec,
                      primitive_covector, solve_rational, vec_add, vec_scale,
                      vec_sub)
 from .root_data import FiniteReflectionGroup, closure
@@ -94,8 +96,19 @@ class RelWeylGroup(FiniteReflectionGroup):
 
     @staticmethod
     def _find_reflection(involutions, cov):
-        """The involution fixing the hyperplane cov = 0 pointwise."""
-        kernel = nullspace_rational([cov], len(cov))
+        """The involution fixing the hyperplane cov = 0 pointwise.
+
+        The hyperplane is spanned by the primitive integer vectors
+        cov[p] e_j - cov[j] e_p, p the first nonzero entry of cov, j != p.
+        """
+        n = len(cov)
+        p = next(i for i, c in enumerate(cov) if c)
+        kernel = []
+        for j in range(n):
+            if j != p:
+                v = [cov[p] * (i == j) - cov[j] * (i == p) for i in range(n)]
+                g = gcd(*v)
+                kernel.append(tuple(x // g for x in v))
         hits = [m for m in involutions if all(mat_vec(m, b) == b for b in kernel)]
         if len(hits) != 1:
             raise InternalInvariantError(
@@ -281,8 +294,6 @@ class IwahoriWeylGroup:
         return self.pi1.project(self.coinv.lift(cls))
 
     def _build_walls(self, wall_table):
-        co = self.coinv
-        f = co.free_rank
         if wall_table is None:
             if not self.action.is_trivial() and self.line_primitives:
                 raise EchelonnageError(
@@ -328,16 +339,16 @@ class IwahoriWeylGroup:
             w_vec = self._w_vec(cprime, s_lin)
             unit_class = self._unit_class(w_vec)
             self.families.append(WallFamily(line_id, cprime, w_vec, unit_class, s_lin))
-        # the finite Weyl group must permute the wall families
+        # the finite Weyl group must permute the wall families (and their
+        # negatives); its simple reflections generate it
         famset = set()
         for fam in self.families:
             famset.add(fam.covector)
             famset.add(tuple(-x for x in fam.covector))
-        for w in self.w0.elements:
+        for s in self.w0.simple_reflections:
+            st = mat_transpose(s.mat)
             for fam in self.families:
-                img = tuple(dot(fam.covector, tuple(w.mat[i][j] for i in range(f)))
-                            for j in range(f))
-                if img not in famset:
+                if mat_vec(st, fam.covector) not in famset:
                     raise EchelonnageError(
                         "wall arrangement is not Weyl-symmetric; bad stride table")
 

@@ -32,7 +32,7 @@ def mat_vec(m, v):
 
 def mat_mul(a, b):
     bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_transpose(m):

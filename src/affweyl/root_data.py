@@ -13,7 +13,6 @@ elements carry a canonical reduced word (lexicographically least), so all
 outputs are deterministic.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import RootDatumError
@@ -51,16 +50,29 @@ def _scaled_coordinates(columns, inverse, v):
     return scaled
 
 
-@dataclass(frozen=True)
 class BasedRootDatum:
-    rank: int
-    roots: tuple
-    coroots: tuple
-    simples: tuple
-    name: str = ""
+    """Roots and coroots (tuples of integer vectors, indexed alike) on a
+    lattice of rank ``rank``, with the indices of the simple roots.  Data
+    compare and hash by (rank, roots, coroots, simples, name)."""
 
-    def __post_init__(self):
+    def __init__(self, rank, roots, coroots, simples, name=""):
+        self.rank = rank
+        self.roots = roots
+        self.coroots = coroots
+        self.simples = simples
+        self.name = name
         self._validate()
+
+    def _key(self):
+        return (self.rank, self.roots, self.coroots, self.simples, self.name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- basic structure ---------------------------------------------------
 

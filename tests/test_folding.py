@@ -1,5 +1,7 @@
 """Coinvariant lattices, pinned actions and folding."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix
@@ -198,3 +200,28 @@ def test_fold_characteristic_guard():
     fold(act, characteristic=3)  # coprime: allowed
     with pytest.raises(FoldingError):
         fold(act, characteristic=2)
+
+
+def test_lattice_build_makes_no_unimodular_inverse(monkeypatch):
+    """Every coinvariant and pi_1 lattice of the shipped presets builds with
+    ``mat_inverse_int`` raising: U^-1 and V^-1 come out of the reduction."""
+    import affweyl.linalg as linalg
+    from affweyl.presets import list_presets, load_group
+    orig = linalg.mat_inverse_int
+    relations = []
+    for name, _, _ in list_presets():
+        group = load_group(name)
+        for lat in (group.coinv, group.pi1):
+            relations.append((lat.ambient_rank,
+                              [lat.relation_column(j) for j in range(lat.num_relations)]))
+
+    def refuse(m):
+        raise AssertionError("a lattice build inverted a matrix")
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("affweyl.")]:
+        for key, val in list(vars(mod).items()):
+            if val is orig:
+                monkeypatch.setattr(mod, key, refuse)
+    for n, cols in relations + [(1, [(2,)]), (3, [(2, 4, 0), (0, 6, 0)])]:
+        lat = CoinvariantLattice(n, cols)
+        assert lat.uinv == orig(lat.u)

@@ -229,3 +229,31 @@ def test_omega_sizes(group_of):
     for name, n in (("a1-sc", 1), ("a2-sc", 1), ("a1-ad", 2), ("a2-ad", 3),
                     ("folded-d3", 2), ("folded-a3", 1)):
         assert len(group_of(name).omega_torsion_representatives()) == n
+
+
+def _fraction_reflection(involutions, cov):
+    """The rational-kernel route: the involutions fixing a Fraction basis
+    of the hyperplane cov = 0."""
+    from affweyl.linalg import mat_vec, nullspace_rational
+    kernel = nullspace_rational([cov], len(cov))
+    hits = [m for m in involutions if all(mat_vec(m, b) == b for b in kernel)]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def test_integer_kernel_reflection_matches_fraction_route():
+    from affweyl.iwahori import RelWeylGroup
+    from affweyl.linalg import identity, mat_mul
+    from affweyl.presets import list_presets, load_group
+    lines = 0
+    for name, _, _ in list_presets():
+        group = load_group(name)
+        ident = identity(group.coinv.free_rank)
+        involutions = [w.mat for w in group.w0.elements
+                       if w.mat != ident and mat_mul(w.mat, w.mat) == ident]
+        for line_id, cov in enumerate(group.line_primitives):
+            found = RelWeylGroup._find_reflection(involutions, cov)
+            assert found == _fraction_reflection(involutions, cov)
+            assert found == group.w0.reflections[line_id].mat
+            lines += 1
+    assert lines > 0

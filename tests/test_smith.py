@@ -47,3 +47,31 @@ def test_reconstruction_bit_exact():
     uinv = mat_inverse_int(u)
     vinv = mat_inverse_int(v)
     assert mat_mul(mat_mul(uinv, s), vinv) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+       st.data())
+def test_carried_inverses_match_mat_inverse_int(m, n, data):
+    """Non-square matrices, zero rows and columns, and torsion (a common
+    factor makes every nonzero invariant factor a multiple of it)."""
+    factor = data.draw(st.sampled_from((1, 2, 3, 6)))
+    zero_row = data.draw(st.none() | st.integers(min_value=0, max_value=m - 1))
+    zero_col = data.draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    a = tuple(tuple(0 if i == zero_row or j == zero_col else factor * data.draw(entry)
+                    for j in range(n)) for i in range(m))
+    s, u, v, uinv, vinv = smith_normal_form(a, inverses=True)
+    assert (s, u, v) == smith_normal_form(a)
+    assert uinv == mat_inverse_int(u)
+    assert vinv == mat_inverse_int(v)
+    assert verify_decomposition(a, s, u, v, uinv, vinv)
+
+
+def test_verify_decomposition_rejects_a_wrong_inverse():
+    a = ((2, -1, 0), (0, 3, -3), (4, 4, 4))
+    s, u, v, uinv, vinv = smith_normal_form(a, inverses=True)
+    assert verify_decomposition(a, s, u, v, uinv, vinv)
+    wrong = tuple(tuple(x + (i == 0 and j == 0) for j, x in enumerate(row))
+                  for i, row in enumerate(uinv))
+    assert not verify_decomposition(a, s, u, v, wrong, vinv)
+    assert not verify_decomposition(a, s, u, v, uinv, u)
