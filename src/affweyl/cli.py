@@ -61,6 +61,10 @@ def _emit(doc, fmt, table_keys=None):
                             for k, w in zip(keys, widths)))
 
 
+def _print_error(e):
+    print(f"error[{e.name}]: {e}", file=sys.stderr)
+
+
 def _int_list(text):
     """argparse type: comma-separated integers, empty for a blank string."""
     if text.strip() == "":
@@ -96,10 +100,15 @@ def _class_for_group(group, coords):
 
 
 def cmd_list_presets(args):
-    rows = [{"name": n, "kind": k, "detail": d} for n, k, d in list_presets()]
+    """The presets that parse on stdout, one error line per bad file on
+    stderr; exit 2 if there was one."""
+    errors = []
+    rows = [{"name": n, "kind": k, "detail": d} for n, k, d in list_presets(errors)]
     _emit({"schema": SCHEMA, "rows": rows}, args.format,
           ["name", "kind", "detail"])
-    return 0
+    for e in errors:
+        _print_error(e)
+    return 2 if errors else 0
 
 
 def cmd_fold(args):
@@ -327,7 +336,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except AffweylError as e:
-        print(f"error[{e.name}]: {e}", file=sys.stderr)
+        _print_error(e)
         return 2
     except InternalInvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)

@@ -11,12 +11,14 @@ of the translations by the projected orbit for the alcove, then the
 max-min double-coset representatives relative to J.  The closure steps by
 one-letter deletions of a reduced word, so every item lies below a
 translation, and the translations, all of one length, are the alcove
-maxima.  The maxima relative to a facet are computed as genuine
-all-pairs Bruhat maxima of the projected set, so the closed-form
-description (translations by the J-dominant orbit representatives, counted
-by double cosets) stays available as an independent check.
+maxima.  ``dc_rep`` is monotone for the Bruhat order, so the maxima
+relative to a facet are the Bruhat maxima of the at most |W0| images of
+the translations, tested all-pairs; the closed-form description
+(translations by the J-dominant orbit representatives, counted by double
+cosets) stays available as an independent check.
 ``speciality_report`` builds each alcove closure, the affine ball and the
-length-zero representatives once and shares them between the facets.
+length-zero representatives once and shares them between the facets, and
+keeps one double-coset memo per facet for every mu and the parity pass.
 """
 
 from fractions import Fraction
@@ -232,7 +234,7 @@ def admissible_set(group, mu, facet=None, length_cap=64):
     double-coset representatives.  ``length_cap`` bounds the length of the
     translations (the enumeration blows up combinatorially beyond it).
     """
-    return _relative(group, mu, facet, _alcove(group, mu, length_cap))
+    return _relative(group, mu, facet, _alcove(group, mu, length_cap), {})
 
 
 def _deletions(group, g):
@@ -271,39 +273,49 @@ def _alcove(group, mu, length_cap):
     return adm, list(dict.fromkeys(tops))
 
 
-def _relative(group, mu, facet, alcove):
-    """The AdmissibleSet relative to the facet, from the alcove closure."""
+def _relative(group, mu, facet, alcove, rep_of):
+    """The AdmissibleSet relative to the facet, from the alcove closure.
+
+    The maxima relative to the facet are the Bruhat maxima of the images of
+    the alcove maxima (the translations): every element of the projected
+    set is dc_rep(g) for some g below a translation, and ``dc_rep`` is
+    monotone for the Bruhat order.  ``rep_of`` is the facet's ``_dc_reps``
+    memo, which the caller may share between several projections.
+    """
     adm, maxima = alcove
     if facet is not None and facet.letters:
-        adm = {rep for _, rep in _dc_reps(group, adm, facet.letters)}
+        adm = {rep for _, rep in _dc_reps(group, adm, facet.letters, rep_of)}
         _check_one_component(group, adm)
-        maxima = bruhat_maxima(group, adm)
+        maxima = bruhat_maxima(group, {rep_of[t] for t in maxima})
     return AdmissibleSet(repr(mu), facet, frozenset(adm), frozenset(maxima))
 
 
-def _dc_reps(group, elements, letters):
+def _dc_reps(group, elements, letters, rep_of=None):
     """(g, dc_rep(g)) for the elements, in a stable sort by length.
 
+    ``rep_of`` maps elements to their representatives; it is filled as the
+    elements are visited, and an element already in it costs one lookup.
     s_j g and g s_j (j in J) lie in the double coset W_J g W_J, so a
     representative found for either is reused.  When the elements form a
     Bruhat lower ideal, an element with a descent in J meets its shorter
     neighbour, which lies in the ideal and was visited first; so ``dc_rep``
-    runs once per double coset, on its minimal element, and never on an
-    element with a right descent in J.
+    runs only on the minimal element of a double coset, and, with one memo
+    kept over several lower ideals, once per double coset over all of them.
     """
     simple = [group.simple_affine_element(j) for j in letters]
-    rep_of = {}
+    rep_of = {} if rep_of is None else rep_of
     for g in sorted(elements, key=lambda g: g.length):
-        rep = None
-        for s in simple:
-            rep = rep_of.get(s * g)
-            if rep is None:
-                rep = rep_of.get(g * s)
-            if rep is not None:
-                break
+        rep = rep_of.get(g)
         if rep is None:
-            rep = group.dc_rep(g, letters)
-        rep_of[g] = rep
+            for s in simple:
+                rep = rep_of.get(s * g)
+                if rep is None:
+                    rep = rep_of.get(g * s)
+                if rep is not None:
+                    break
+            if rep is None:
+                rep = group.dc_rep(g, letters)
+            rep_of[g] = rep
         yield g, rep
 
 
@@ -402,7 +414,7 @@ def parity_check(group, facet, bound):
     Components are indexed by the torsion part of pi1(G)_I; free central
     directions translate the picture without changing lengths.
     """
-    return _parity(group, facet, _components(group, bound))
+    return _parity(group, facet, _components(group, bound), {})
 
 
 def _components(group, bound):
@@ -414,11 +426,11 @@ def _components(group, bound):
     return [[w * om for w in ball] for _, om in sorted(omegas.items())]
 
 
-def _parity(group, facet, components):
+def _parity(group, facet, components, rep_of):
     for members in components:
         parities = {}
         # _dc_reps keeps the (length, key) order of the members
-        for u, rep in _dc_reps(group, members, facet.letters):
+        for u, rep in _dc_reps(group, members, facet.letters, rep_of):
             if rep != u:
                 continue
             p = u.length % 2
@@ -472,16 +484,19 @@ def speciality_report(group, mu_sample=None, bound=None, length_cap=64):
         bound = lmax + 2
     facets = enumerate_facets(group)
     counts = {facet.letters: [] for facet in facets}
+    # one double-coset memo per facet, for every mu and the parity pass
+    memos = {facet.letters: {} for facet in facets}
     for cls in mu_sample:
         alcove = _alcove(group, cls, length_cap)
         for facet in facets:
-            adm = _relative(group, cls, facet, alcove)
+            adm = _relative(group, cls, facet, alcove, memos[facet.letters])
             counts[facet.letters].append(len(adm.maxima))
     components = _components(group, bound)
     rows = []
     for facet in facets:
         special = facet.is_special()
-        parity_ok, witness = _parity(group, facet, components)
+        parity_ok, witness = _parity(group, facet, components,
+                                     memos[facet.letters])
         nonunique = [cls for cls, n in zip(mu_sample, counts[facet.letters])
                      if n != 1]
         unique = not nonunique

@@ -248,11 +248,12 @@ class IwahoriWeylGroup:
         basis = [co.make(tuple(1 if i == k else 0 for i in range(f)),
                          (0,) * len(co.torsion)) for k in range(f)]
         realized = [average_lift(action, b) for b in basis]
+        positive = set(datum.positive_indices)
         seen = {}
         self.rel_roots = []  # (covector of Fractions, positive, multiplicity)
         for idx, r in enumerate(datum.roots):
             cov = tuple(dot(real, r) for real in realized)
-            pos = idx in set(datum.positive_indices)
+            pos = idx in positive
             if cov in seen:
                 j = seen[cov]
                 c0, p0_, m0 = self.rel_roots[j]

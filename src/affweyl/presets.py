@@ -37,7 +37,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import FoldingError, PresetSyntaxError, UnknownPresetError
+from .errors import AffweylError, FoldingError, PresetSyntaxError, UnknownPresetError
 from .folding import PinnedAction, trivial_action
 from .iwahori import IwahoriWeylGroup
 from .linalg import identity, mat_mul, mat_transpose
@@ -214,25 +214,38 @@ def load_group(name):
     return IwahoriWeylGroup(trivial_action(datum), name=name)
 
 
-def list_presets():
-    """Catalog rows: (name, kind, detail)."""
+def _catalog_row(p):
+    if p.suffix == ".datum":
+        datum, actions = _parse_datum_file(p)
+        detail = f"rank {datum.rank}, {len(datum.roots)} roots"
+        if actions:
+            detail += ", actions: " + ",".join(sorted(actions))
+        return p.stem, "split", detail
+    _, base, action_name, walls = _parse_group_file(p)
+    return p.stem, "folded", f"base {base}, action {action_name}, {len(walls)} walls"
+
+
+def list_presets(errors=None):
+    """Catalog rows: (name, kind, detail).
+
+    A file that does not parse raises its domain error; when ``errors`` is
+    a list, the error is appended to it instead and the file is left out.
+    A file shadows a later one of the same name, whether it parses or not.
+    """
     rows = []
     seen = set()
     for d in _search_dirs():
         if not d.is_dir():
             continue
         for p in sorted(d.iterdir()):
-            if p.suffix == ".datum" and p.stem not in seen:
-                seen.add(p.stem)
-                datum, actions = _parse_datum_file(p)
-                detail = f"rank {datum.rank}, {len(datum.roots)} roots"
-                if actions:
-                    detail += ", actions: " + ",".join(sorted(actions))
-                rows.append((p.stem, "split", detail))
-            elif p.suffix == ".group" and p.stem not in seen:
-                seen.add(p.stem)
-                gname, base, action_name, walls = _parse_group_file(p)
-                rows.append((p.stem, "folded",
-                             f"base {base}, action {action_name}, {len(walls)} walls"))
+            if p.suffix not in (".datum", ".group") or p.stem in seen:
+                continue
+            seen.add(p.stem)
+            try:
+                rows.append(_catalog_row(p))
+            except AffweylError as e:
+                if errors is None:
+                    raise
+                errors.append(e)
     rows.sort()
     return rows

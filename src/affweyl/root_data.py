@@ -192,9 +192,8 @@ class BasedRootDatum:
                                     self.coroots[i])
             if c is None or not all(x >= 0 for x in c):
                 raise RootDatumError("coroot bijection does not preserve positivity")
-        for i in self.simples:
-            if i not in set(self.positive_indices):
-                raise RootDatumError("simple root is not positive")
+        if not set(self.simples) <= set(self.positive_indices):
+            raise RootDatumError("simple root is not positive")
 
     # -- Weyl group ----------------------------------------------------------
 

@@ -3,9 +3,9 @@
 ``speciality_report`` builds the alcove closure once per mu and projects it
 to every facet; each shortcut it takes is checked here, on every shipped
 preset, against the plain computation it replaces: one-letter deletions by
-``element_from_word``, maxima by all-pairs Bruhat tests, the parity check
-without the descent filter, the projection by one ``dc_rep`` per element,
-and the report by the public per-facet functions.
+``element_from_word``, maxima by all-pairs Bruhat tests over the whole set,
+the parity check without the descent filter, the projection by one
+``dc_rep`` per element, and the report by the public per-facet functions.
 """
 
 from functools import lru_cache
@@ -112,6 +112,38 @@ def test_closure_maxima_are_all_pairs_maxima(name):
         adm, maxima = fc._alcove(group, cls, 64)
         assert len(set(adm)) == len(adm)
         assert set(maxima) == set(fc.bruhat_maxima(group, set(adm)))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_facet_maxima_are_all_pairs_maxima(name):
+    """Maxima read off the images of the translations equal the all-pairs
+    Bruhat maxima of the whole projected set, over the default mu sample."""
+    group = group_of(name)
+    for cls in fc.default_mu_sample(group):
+        alcove = fc._alcove(group, cls, 64)
+        for facet in facets_of(name):
+            if not facet.letters:
+                continue
+            adm = fc._relative(group, cls, facet, alcove, {})
+            expected = fc.bruhat_maxima(group, adm.elements)
+            assert adm.maxima == frozenset(expected), (cls, facet)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_report_runs_dc_rep_once_per_double_coset(name, monkeypatch):
+    group = load_group(name)
+    dc_rep = group.dc_rep
+    results = []
+
+    def recording_dc_rep(g, letters):
+        rep = dc_rep(g, letters)
+        results.append((tuple(letters), rep))
+        return rep
+
+    monkeypatch.setattr(group, "dc_rep", recording_dc_rep)
+    fc.speciality_report(group)
+    assert results
+    assert len(set(results)) == len(results)
 
 
 @pytest.mark.parametrize("name", PRESETS)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -174,3 +175,58 @@ def test_coordinate_list_may_begin_with_a_minus_sign(args, value):
         assert spaced.returncode == 2
         assert "error[dual.nondominant]" in spaced.stderr
     assert "expected one argument" not in spaced.stderr
+
+
+# sha256 of ``report --preset P --format F`` stdout, every shipped preset
+REPORT_SHA256 = {
+    ("a1-ad", "text"): "cd0813841203ac016dc42aac243bd1c3c431c0124abb99dc46b0141a1726739d",
+    ("a1-ad", "tsv"): "37386987f8b32a590d8df30ec3cd9961affbf93bc2382b6fd9ef3ba09f1a28f6",
+    ("a1-ad", "json"): "bb177931d173136f8c483f510686225787413632670c9bb84f9eaa74203175a0",
+    ("a1-sc", "text"): "63e828e88afe7c76564ffcd82fd17b57f6a3ee9686f9e7569a9d771670e90a9b",
+    ("a1-sc", "tsv"): "5ef1bdd8b5083d798f15822d2c0464e5393406936ae70165239b0be09675500f",
+    ("a1-sc", "json"): "bd85b885058dc9b3d6e36e1796c0486a040b75bbcdb2b3a03027c7134dffd56e",
+    ("a1xa1-sc", "text"): "22b7641461b6333f05c02091678814baf5e4aa4302009713352a512f0cbffdd0",
+    ("a1xa1-sc", "tsv"): "189329e4dcf54a2b5f3a6baf5417a4301837473879af71be611e3aee1b908810",
+    ("a1xa1-sc", "json"): "4912b968e2e72ba4e4a5f687643611c1cf576ba26cad4243152ed1c1e07409f1",
+    ("a2-ad", "text"): "4f6751e9ed6f07a78f7d2149d180980d8b68c1a521ee6dc0e7fb4e9c359af341",
+    ("a2-ad", "tsv"): "d4a70c673311dda9609a738c1bf86d24274041ecaddc0fdf11002b013873ad25",
+    ("a2-ad", "json"): "292621ca28b0dba32439c188caae291c293a139e76e874e2e6bf5ed110d91e94",
+    ("a2-sc", "text"): "2b61c2b45c6f227e6190091b76c0dd18154ac344b822b2d977ed5a932566e97e",
+    ("a2-sc", "tsv"): "78bc00c1eae03a5245ad2cb86c43794c8f093c91412fc09a336575e106d03334",
+    ("a2-sc", "json"): "7f391d85317bc4b6907248cc063f4313cb9802b4cd80d7a95d66d3ba1a64ac34",
+    ("a3-sc", "text"): "a48604aa22f5a99e73c27cedd4024756dd95249079cd4e2f5befdbd3634fbefa",
+    ("a3-sc", "tsv"): "5f0325690a435c407be4580023dac3af5fbe649467ed9c2fb95e3c1df2726452",
+    ("a3-sc", "json"): "10967f6ddd4ae5d803a26c6c09bf75f311e18fefe299ad68457b50021ed7e16b",
+    ("c2-sc", "text"): "ecd7b03b697418e8a782b91feeb215a4f55959c1fb77a1849138d30e787642da",
+    ("c2-sc", "tsv"): "be86e623d3e114d8ef2e2b3344c81ec02aab11202c0e07779652fad728760e3e",
+    ("c2-sc", "json"): "97aee570d2de9c634df4a1f06e10f9f2b6ece9882e90ef353a7cefa23cac0618",
+    ("d3", "text"): "31b1283e34434a343a35679213626f1b51a5e7b1ed9f3efe060106bcea5e09cc",
+    ("d3", "tsv"): "31f15dd5aab8ec685f4a0d86418d7a41e4c204d43f16bb719b8c2a185eea0a5c",
+    ("d3", "json"): "180a61e0da68e94cf407e2076d85a0cc6c72d2bc4157f11034f9e681a737c647",
+    ("folded-a2", "text"): "de9676e2e3fb9ecf7e322620a38c043ae0f676aa01abe95b5ba72a63effbb437",
+    ("folded-a2", "tsv"): "5ef1bdd8b5083d798f15822d2c0464e5393406936ae70165239b0be09675500f",
+    ("folded-a2", "json"): "a1e819732c09acadaaac0477153c201d83a43a77ced203375de30d3406704747",
+    ("folded-a3", "text"): "333498d87647e91eea59edea0ddb1e9cb22bb158965adcaf2d694cde300adfe5",
+    ("folded-a3", "tsv"): "637f068bad61bb2e3c6c99f32ff1e3fbbe578ad6ca72132de31a80c3ac041697",
+    ("folded-a3", "json"): "97e66aa87af9c3a5a26d3b5a604fa52d35251ec221982ef410bd75a1cda88e21",
+    ("folded-d3", "text"): "439a958c75b9cf047ba51558bc713b541a51bcc2882480b362486917179d0294",
+    ("folded-d3", "tsv"): "46ca7166be197c51aa4a05b251e565012c1070c47cf1961ad1a1a15f4629e3ff",
+    ("folded-d3", "json"): "6f01dfcdee12ed1808f53f4af6bb54182e734c3fba19f80f71e77d2d32fec59f",
+    ("g2", "text"): "a095316580404c4ad6c7fe82463d6493f9c369b8a1f2fbb8769492c8ef386f2a",
+    ("g2", "tsv"): "c6eaf464b7eeec369e019fc25793de06e38b3dc57cf096e8065581fdf13d4a21",
+    ("g2", "json"): "aa71e8c2c4fe42958241e34a749593610bc1ebe002c94e8c338b0f3a92e44c04",
+    ("t1", "text"): "16a6512af5bedcc526c16588af488827f196b4a6770c47b3156b83305c3845ec",
+    ("t1", "tsv"): "9dd27b4efa06db5932e75f8fddb191e8404ce8aadf2b6545ee0259d8f7ddccde",
+    ("t1", "json"): "1ffabafac85d4f7d0f95b9f8c1e43f48002253764d09340b85da669d9201c72c",
+    ("t1-inv", "text"): "b2fcd4c269fd4d9c22a80301ec18797799ec31e7542f3d38735a684486f0687f",
+    ("t1-inv", "tsv"): "c7f4d1c485de484395907b02d4a397a528c941d329baba73c9ce640c311dff72",
+    ("t1-inv", "json"): "828832bec0c5a77c571b6399c2d6cf0b52430e4a477bd9812bdb943730666f51",
+}
+
+
+@pytest.mark.parametrize("preset,fmt", sorted(REPORT_SHA256))
+def test_report_bytes_pinned(preset, fmt, capsys):
+    from affweyl import cli
+    assert cli.main(["report", "--preset", preset, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[preset, fmt]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from affweyl.errors import EchelonnageError, UnknownPresetError
+from affweyl.errors import EchelonnageError, PresetSyntaxError, UnknownPresetError
 from affweyl.presets import list_presets, load_action, load_datum, load_group
 
 
@@ -97,3 +97,37 @@ def test_malformed_preset_gives_named_error(tmp_path, monkeypatch, capsys,
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error[presets." in err and "Traceback" not in err, (argv, err)
+
+
+def test_list_presets_skips_bad_files(tmp_path, monkeypatch, capsys):
+    """A bad file costs its own row and one error line; the other presets
+    are listed with the same bytes as without it."""
+    from affweyl import cli
+    (tmp_path / "z9.datum").write_text(GOOD_DATUM.replace("z8", "z9"))
+    monkeypatch.setenv("AFFWEYL_PRESET_PATH", str(tmp_path))
+    clean_rows = list_presets()
+    clean = {}
+    for fmt in ("text", "tsv", "json"):
+        assert cli.main(["list-presets", "--format", fmt]) == 0
+        clean[fmt], err = capsys.readouterr()
+        assert err == ""
+    (tmp_path / "z8.datum").write_text(GOOD_DATUM.replace("rank 1", "rank x"))
+    (tmp_path / "zg.group").write_text("base a1-sc\naction trivial\nwall 2 | 0\n")
+    errors = []
+    assert list_presets(errors) == clean_rows
+    assert len(errors) == 2
+    with pytest.raises(PresetSyntaxError):
+        list_presets()
+    for fmt in ("text", "tsv", "json"):
+        assert cli.main(["list-presets", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == clean[fmt]
+        lines = err.splitlines()
+        assert len(lines) == 2, err
+        assert lines[0].startswith("error[presets.syntax]: ") and "z8.datum" in lines[0]
+        assert lines[1].startswith("error[presets.syntax]: ") and "zg.group" in lines[1]
+
+
+def test_list_presets_collects_no_errors_on_clean_catalog():
+    errors = []
+    assert list_presets(errors) == list_presets() and errors == []
