@@ -5,13 +5,16 @@ that datum is the dual based root datum, whose character lattice is the
 original cocharacter lattice).  The pipeline is:
 
 * Freudenthal's recursion for irreducible characters of a connected group,
-  in integers: with the Weyl-invariant integer Gram matrix G = sum of
-  cv cv^T over the coroots, every norm is taken on doubled weights,
-  q(2mu + 2rho) = (2mu + 2rho)^T G (2mu + 2rho), so that rho = two_rho / 2
-  never leaves Z; the multiplicity of mu is then 8 acc / (q(2lam + 2rho) -
-  q(2mu + 2rho)), checked to be exact.  ``kostant_multiplicity`` (Kostant's
-  alternating sum) and ``weyl_dimension`` (Weyl's dimension formula) are
-  independent oracles for it;
+  over the dominant weights below the highest (a closure of dominant steps
+  down by positive roots), spread over orbits by downward simple
+  reflections; in integers: with the Weyl-invariant integer Gram matrix
+  G = sum of cv cv^T over the coroots, every norm is taken on doubled
+  weights, q(2mu + 2rho) = (2mu + 2rho)^T G (2mu + 2rho), so that rho =
+  two_rho / 2 never leaves Z; the multiplicity of mu is then
+  8 acc / (q(2lam + 2rho) - q(2mu + 2rho)), checked to be exact.
+  ``kostant_multiplicity`` (Kostant's alternating sum) and
+  ``weyl_dimension`` (Weyl's dimension formula) are independent oracles
+  for it;
 * the dominance order on the character-side coinvariants, with the
   projected simple roots as cone generators; coefficients in the simple
   roots come from the folded datum's integer left inverse of its simple
@@ -19,9 +22,9 @@ original cocharacter lattice).  The pipeline is:
 * component-group twists: weights of a disconnected-group irreducible are
   the connected-group weights lifted back to the full coinvariant lattice,
   the torsion offsets being dictated by the projected simple roots;
-* restriction along fold: project every weight of an absolute irreducible
-  and greedily peel highest-weight characters from the top of the
-  dominance order.
+* restriction along fold: project an absolute irreducible's weights and
+  greedily peel highest-weight characters from the top of the dominance
+  order, checking the weights each round lowers.
 
 A fold's dominance order and its characters with torsion are built once
 and kept on the ``FoldedDatum`` (``dominance``, ``characters``), so every
@@ -88,22 +91,15 @@ def _invariant_form(datum):
 
 
 def dominant_weights_below(datum, lam):
-    """Dominant weights mu with lam - mu a nonnegative sum of simple roots."""
-    height_cap = dot(datum.two_rho_check, lam)
-    simples = datum.simple_roots
-    out = []
-
-    def rec(idx, current, remaining):
-        if idx == len(simples):
-            if datum.is_dominant_char(current):
-                out.append(tuple(current))
-            return
-        vec = current
-        for c in range(remaining + 1):
-            rec(idx + 1, vec, remaining - c)
-            vec = vec_sub(vec, simples[idx])
-
-    rec(0, tuple(lam), max(height_cap, 0))
+    """Dominant weights mu with lam - mu a nonnegative sum of simple roots,
+    for dominant lam, lexicographic in the sum's coefficients.  Stembridge
+    ("The partial order of dominant weights", Adv. Math. 1998): they are
+    reached from lam by positive-root steps down that stay dominant."""
+    lam = tuple(lam)
+    out = closure([lam], lambda mu: (
+        nu for nu in (vec_sub(mu, a) for a in datum.positive_roots)
+        if datum.is_dominant_char(nu)))
+    out.sort(key=lambda mu: datum._root_coordinates(vec_sub(lam, mu)))
     return out
 
 
@@ -181,19 +177,20 @@ def dominant_of_char(datum, chi):
                               WeylElement.apply_char)
 
 
-def weyl_orbit_char(datum, chi):
-    return set(closure([tuple(chi)], lambda v: (
-        s.apply_char(v) for s in datum.weyl.simple_reflections)))
+def weyl_orbit_char(datum, mu):
+    """Weyl orbit of a dominant character, by the simple reflections that go
+    down: v -> v - n alpha_i where n = <alpha_i^vee, v> > 0."""
+    simple = tuple(zip(datum.simple_coroots, datum.simple_roots))
+    return set(closure([tuple(mu)], lambda v: (
+        tuple(x - n * a for x, a in zip(v, alpha))
+        for cv, alpha in simple if (n := dot(cv, v)) > 0)))
 
 
 def irreducible_character(datum, lam):
     """Full weight multiset of the irreducible with highest weight lam."""
-    dom = freudenthal(datum, lam)
-    out = WeightMultiset()
-    for mu, m in dom.items():
-        for w in weyl_orbit_char(datum, mu):
-            out.add(w, m)
-    return out
+    # the orbits of distinct dominant weights are disjoint
+    return WeightMultiset({w: m for mu, m in freudenthal(datum, lam).items()
+                           for w in weyl_orbit_char(datum, mu)})
 
 
 def weyl_dimension(datum, lam):
@@ -329,7 +326,7 @@ def extend_by_component_twist(char, mu_cls, folded):
         if char[top] != 1:
             raise PeelingError("highest weight multiplicity is not 1")
     out = WeightMultiset()
-    for w, m in char.items():
+    for w, m in char.entries.items():
         coeffs = order._coefficients(vec_sub(mu_cls.free, w))
         if coeffs is None or any(c.denominator != 1 for c in coeffs):
             raise PeelingError("inconsistent torsion offset: weight does not "
@@ -337,7 +334,7 @@ def extend_by_component_twist(char, mu_cls, folded):
         off = _torsion_offset(folded, coeffs)
         tors = tuple((a - b) % d for a, b, d in
                      zip(mu_cls.torsion, off, co.torsion))
-        out.add(co.make(tuple(w), tors), m)
+        out.entries[co.make(tuple(w), tors)] = m  # one class per weight
     return out
 
 
@@ -391,7 +388,7 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
     co = folded.char_coinv
     absolute = irreducible_character(datum, lam)
     remaining = WeightMultiset()
-    for w, m in absolute.items():
+    for w, m in absolute.entries.items():
         remaining.add(co.project(w), m)
     fd = folded.datum
     height = fd.two_rho_check
@@ -409,11 +406,10 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
         if not fd.is_dominant_char(top.free):
             raise PeelingError(f"top weight {top} is not dominant; "
                                "cannot peel a highest-weight character")
-        char = character_with_torsion(folded, top)
-        for w, m in char.items():
+        # a round checks the weights it lowers; the rest are checked at the top
+        for w, m in character_with_torsion(folded, top).entries.items():
             remaining.add(w, -m * mult)
-        for w, m in remaining.items():
-            if m < 0:
+            if remaining[w] < 0:
                 raise PeelingError("negative multiplicity while peeling")
         out.append((top, mult))
         if len(out) > max_rounds:

@@ -35,7 +35,6 @@ with the trivial action and stride 1 on every root.
 
 import os
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import AffweylError, FoldingError, PresetSyntaxError, UnknownPresetError
 from .folding import PinnedAction, trivial_action
@@ -43,30 +42,26 @@ from .iwahori import IwahoriWeylGroup
 from .linalg import identity, mat_mul, mat_transpose
 from .root_data import BasedRootDatum
 
-DATA_DIR = Path(__file__).parent / "data"
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ENV_VAR = "AFFWEYL_PRESET_PATH"
 
 
 def _search_dirs():
-    dirs = []
-    extra = os.environ.get(ENV_VAR)
-    if extra:
-        for part in extra.split(os.pathsep):
-            if part:
-                dirs.append(Path(part))
-    dirs.append(DATA_DIR)
-    return dirs
+    extra = os.environ.get(ENV_VAR, "")
+    return [part for part in extra.split(os.pathsep) if part] + [DATA_DIR]
 
 
 def _find_file(name, suffix):
     for d in _search_dirs():
-        p = d / f"{name}{suffix}"
-        if p.is_file():
+        p = os.path.join(d, name + suffix)
+        if os.path.isfile(p):
             return p
     return None
 
 
-def _clean_lines(text):
+def _clean_lines(path):
+    with open(path) as f:
+        text = f.read()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -88,8 +83,8 @@ def _parse_datum_file(path):
     roots = []
     coroots = []
     actions = {}
-    name = path.stem
-    for line in _clean_lines(path.read_text()):
+    name = os.path.splitext(os.path.basename(path))[0]
+    for line in _clean_lines(path):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "name":
@@ -150,11 +145,11 @@ def _action_matrix(datum, decl, where):
 
 
 def _parse_group_file(path):
-    name = path.stem
+    name = os.path.splitext(os.path.basename(path))[0]
     base = None
     action = None
     walls = []
-    for line in _clean_lines(path.read_text()):
+    for line in _clean_lines(path):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "name":
@@ -214,15 +209,15 @@ def load_group(name):
     return IwahoriWeylGroup(trivial_action(datum), name=name)
 
 
-def _catalog_row(p):
-    if p.suffix == ".datum":
+def _catalog_row(p, stem, suffix):
+    if suffix == ".datum":
         datum, actions = _parse_datum_file(p)
         detail = f"rank {datum.rank}, {len(datum.roots)} roots"
         if actions:
             detail += ", actions: " + ",".join(sorted(actions))
-        return p.stem, "split", detail
+        return stem, "split", detail
     _, base, action_name, walls = _parse_group_file(p)
-    return p.stem, "folded", f"base {base}, action {action_name}, {len(walls)} walls"
+    return stem, "folded", f"base {base}, action {action_name}, {len(walls)} walls"
 
 
 def list_presets(errors=None):
@@ -235,14 +230,15 @@ def list_presets(errors=None):
     rows = []
     seen = set()
     for d in _search_dirs():
-        if not d.is_dir():
+        if not os.path.isdir(d):
             continue
-        for p in sorted(d.iterdir()):
-            if p.suffix not in (".datum", ".group") or p.stem in seen:
+        for fname in sorted(os.listdir(d)):
+            stem, suffix = os.path.splitext(fname)
+            if suffix not in (".datum", ".group") or stem in seen:
                 continue
-            seen.add(p.stem)
+            seen.add(stem)
             try:
-                rows.append(_catalog_row(p))
+                rows.append(_catalog_row(os.path.join(d, fname), stem, suffix))
             except AffweylError as e:
                 if errors is None:
                     raise

@@ -17,6 +17,7 @@ from affweyl.folding import coinvariants, fold
 from affweyl.linalg import dot, mat_mul, mat_inverse_int
 from affweyl.presets import load_action, load_datum, load_group
 from affweyl.smith import verify_decomposition
+from conftest import child_env
 
 PRESETS = ["a1-sc", "a1-ad", "a2-sc", "c2-sc", "g2", "folded-a3"]
 
@@ -255,7 +256,8 @@ def test_criterion_9_cli_determinism():
     cmd = [sys.executable, "-m", "affweyl"]
 
     def run(*args):
-        return subprocess.run(cmd + list(args), capture_output=True, text=True)
+        return subprocess.run(cmd + list(args), capture_output=True, text=True,
+                              env=child_env())
 
     for args in (("report", "--preset", "folded-a3", "--format", "json"),
                  ("report", "--preset", "a2-sc", "--format", "tsv"),

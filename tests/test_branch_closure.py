@@ -1,0 +1,110 @@
+"""The shortcuts of the branch path against the computations they replace:
+dominant weights by Stembridge's closure against the enumeration of every
+nonnegative combination of simple roots, Weyl orbits by downward
+reflections against the closure under every simple reflection, and the
+peel's negative-multiplicity check against a constituent made too large."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from affweyl import highest_weight as hw
+from affweyl.errors import PeelingError
+from affweyl.folding import fold
+from affweyl.linalg import dot, vec_sub
+from affweyl.presets import _find_file, _parse_datum_file, list_presets, load_action
+from affweyl.root_data import closure
+
+SAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
+
+
+def enumerated_dominant_weights_below(datum, lam):
+    """Oracle: every lam - sum c_i alpha_i with c_i >= 0 and sum c_i up to
+    the height <2 rho^vee, lam>, kept when dominant, in lexicographic order
+    of (c_1, c_2, ...); ``highest_weight.dominant_weights_below`` before its
+    closure form."""
+    height_cap = dot(datum.two_rho_check, lam)
+    simples = datum.simple_roots
+    out = []
+
+    def rec(idx, current, remaining):
+        if idx == len(simples):
+            if datum.is_dominant_char(current):
+                out.append(tuple(current))
+            return
+        vec = current
+        for c in range(remaining + 1):
+            rec(idx + 1, vec, remaining - c)
+            vec = vec_sub(vec, simples[idx])
+
+    rec(0, tuple(lam), max(height_cap, 0))
+    return out
+
+
+def _declared_actions(name):
+    return sorted(_parse_datum_file(_find_file(name, ".datum"))[1])
+
+
+# every shipped datum under the trivial action and every action it declares
+FOLDS = tuple((name, action)
+              for name, kind, _ in list_presets() if kind == "split"
+              for action in (None, *_declared_actions(name)))
+
+
+def _data(name, action):
+    """The datum and its fold's datum."""
+    act = load_action(name, action)
+    return act.datum, fold(act).datum
+
+
+def _dominant(datum, data, box=4):
+    v = data.draw(st.tuples(*[st.integers(-box, box)] * datum.rank))
+    return hw.dominant_of_char(datum, v)[0]
+
+
+def test_folds_cover_nonreduced_reducible_and_rootless_data():
+    assert {("a2-sc", "swap"), ("a1xa1-sc", None), ("a1xa1-sc", "swap"),
+            ("t1", None), ("t1", "inv")} <= set(FOLDS)
+
+
+@pytest.mark.parametrize("name,action", FOLDS)
+@SAMPLES
+@given(data=st.data())
+def test_closure_matches_the_enumeration_in_order(name, action, data):
+    for datum in _data(name, action):
+        lam = _dominant(datum, data)
+        assert hw.dominant_weights_below(datum, lam) == \
+            enumerated_dominant_weights_below(datum, lam), (name, action, lam)
+
+
+@pytest.mark.parametrize("name,action", FOLDS)
+@SAMPLES
+@given(data=st.data())
+def test_downward_orbits_match_the_closure_under_every_reflection(name, action, data):
+    for datum in _data(name, action):
+        lam = _dominant(datum, data)
+        full = closure([lam], lambda v: (
+            s.apply_char(v) for s in datum.weyl.simple_reflections))
+        assert hw.weyl_orbit_char(datum, lam) == set(full), (name, action, lam)
+
+
+@pytest.mark.parametrize("name,lam", [("a1xa1-sc", (1, 1)), ("a2-sc", (1, 1)),
+                                      ("a3-sc", (1, 0, 1)), ("d3", (1, 1, 0))])
+@pytest.mark.parametrize("which", ["highest", "lowest"])
+def test_inflated_constituent_fails_the_peel(monkeypatch, name, lam, which):
+    act = load_action(name, "swap")
+    fd = fold(act)
+    assert hw.restrict_to_fixed_group(act.datum, act, lam, fd)
+    excess = hw.weyl_dimension(act.datum, lam) + 1
+    original = hw.character_with_torsion
+    height = fd.datum.two_rho_check
+
+    def inflated(folded, mu_cls):
+        char = original(folded, mu_cls)
+        pick = max if which == "highest" else min
+        w = pick(char.entries, key=lambda w: (dot(height, w.free), w.free, w.torsion))
+        char.add(w, excess)
+        return char
+
+    monkeypatch.setattr(hw, "character_with_torsion", inflated)
+    with pytest.raises(PeelingError, match="^negative multiplicity while peeling$"):
+        hw.restrict_to_fixed_group(act.datum, act, lam, fd)

@@ -15,6 +15,7 @@ from affweyl import highest_weight as hw
 from affweyl.folding import fold, trivial_action
 from affweyl.linalg import dot, integer_left_inverse, mat_vec, solve_rational
 from affweyl.presets import list_presets, load_action, load_datum
+from test_branch_closure import enumerated_dominant_weights_below
 
 SAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -47,7 +48,7 @@ def fraction_freudenthal(datum, lam):
     rho = tuple(Fraction(x, 2) for x in datum.two_rho)
     lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, rho))
     norm_top = _form(gram, lam_rho, lam_rho)
-    candidates = hw.dominant_weights_below(datum, lam)
+    candidates = enumerated_dominant_weights_below(datum, lam)
     candidates.sort(key=lambda v: -dot(datum.two_rho_check, v))
     mult = {lam: 1}
     for mu in candidates:

@@ -7,11 +7,14 @@ import sys
 
 import pytest
 
+from conftest import child_env
+
 CMD = [sys.executable, "-m", "affweyl"]
 
 
 def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    return subprocess.run(CMD + list(args), capture_output=True, text=True,
+                          env=child_env())
 
 
 def test_list_presets():

@@ -8,6 +8,7 @@ import pytest
 
 from affweyl.errors import EchelonnageError, PresetSyntaxError, UnknownPresetError
 from affweyl.presets import list_presets, load_action, load_datum, load_group
+from conftest import child_env
 
 
 def test_catalog_contains_shipped_presets():
@@ -21,11 +22,11 @@ def test_search_path_env_var(tmp_path):
     custom.write_text(
         "name z9\nlattice custom\nrank 1\nsimples 0\n"
         "root 2 | coroot 1\nroot -2 | coroot -1\n")
-    env = dict(os.environ, AFFWEYL_PRESET_PATH=str(tmp_path))
     out = subprocess.run(
         [sys.executable, "-m", "affweyl", "wgroup", "length",
          "--preset", "z9", "--element", "t[1]"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True,
+        env=child_env(AFFWEYL_PRESET_PATH=str(tmp_path)))
     assert out.returncode == 0 and "length: 2" in out.stdout
 
 

@@ -1,18 +1,15 @@
 """Value semantics of the data classes, the caches of the Iwahori-Weyl layer,
 and what importing the CLI pulls in."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from affweyl import facets as fc
 from affweyl.folding import coinvariants, fold
 from affweyl.presets import load_action, load_datum
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import child_env
 
 
 def test_two_loads_give_equal_data_and_actions():
@@ -83,9 +80,11 @@ def test_values_fixed_and_caches_filled_once(group_of):
 
 
 def test_cli_import_leaves_out_dataclasses():
-    code = "import affweyl.cli, sys; print('dataclasses' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    r = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    """Nor pathlib, which pulls in urllib.parse and ipaddress: importing
+    the CLI loads neither."""
+    code = ("import affweyl.cli, sys; "
+            "print('dataclasses' in sys.modules, 'pathlib' in sys.modules)")
+    r = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(),
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.split() == ["False", "False"]
