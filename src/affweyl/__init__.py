@@ -7,8 +7,8 @@ from .folding import (CoinvariantClass, CoinvariantLattice, FoldedDatum,
                       pi0_fixed_torus, trivial_action)
 from .iwahori import IwahoriWeylElement, IwahoriWeylGroup
 from .facets import (AdmissibleSet, Facet, admissible_set, enumerate_facets,
-                     lambda_mu, max_double_coset_rep, maximal_admissible,
-                     parity_check, schubert_components, speciality_report)
+                     lambda_mu, maximal_admissible, parity_check,
+                     schubert_components, speciality_report)
 from .highest_weight import (DominanceOrder, WeightMultiset,
                              character_with_torsion, extend_by_component_twist,
                              freudenthal, highest_weight_table,

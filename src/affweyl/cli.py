@@ -154,12 +154,10 @@ def cmd_wgroup(args):
         doc = {"schema": SCHEMA, "element": group.element_to_string(g),
                "other": group.element_to_string(other),
                "leq": group.bruhat_leq(g, other)}
-    elif args.operation == "kottwitz":
+    else:  # kottwitz; argparse's choices admit no other operation
         k = group.kottwitz(g)
         doc = {"schema": SCHEMA, "element": group.element_to_string(g),
                "kottwitz_free": list(k.free), "kottwitz_torsion": list(k.torsion)}
-    else:
-        raise AffweylError(f"unknown wgroup operation {args.operation!r}")
     _emit(doc, args.format)
     return 0
 

@@ -14,8 +14,9 @@ translation, and the translations, all of one length, are the alcove
 maxima.  ``dc_rep`` is monotone for the Bruhat order, so the maxima
 relative to a facet are the Bruhat maxima of the at most |W0| images of
 the translations, tested all-pairs; the closed-form description
-(translations by the J-dominant orbit representatives, counted by double
-cosets) stays available as an independent check.
+(translations by the J-dominant orbit representatives) stays available as
+an independent check, and the tests count the maxima by double cosets
+(``tests/oracles.py``).
 ``speciality_report`` builds each alcove closure, the affine ball and the
 length-zero representatives once and shares them between the facets, and
 keeps one double-coset memo per facet for every mu and the parity pass.
@@ -61,7 +62,7 @@ class Facet:
         """Indices into group.rel_roots of the subsystem R_J."""
         g = self.group
         out = []
-        for i, (cov, _, _) in enumerate(g.rel_roots):
+        for i, (cov, _) in enumerate(g.rel_roots):
             line = g.line_ids.get(primitive_covector(cov))
             if line is None:
                 raise InternalInvariantError("relative root without a line")
@@ -107,26 +108,6 @@ class Facet:
         g = self.group
         p0 = tuple(Fraction(x, g.p0_den) for x in g.p0_num)
         return tuple(a - b for a, b in zip(p0, self.hull_point))
-
-    def restricted_lines(self):
-        """One positively-oriented primitive covector per reflection
-        hyperplane direction of R_J.
-
-        For reduced restricted systems this is R_J^+ up to scaling; in the
-        nonreduced case proportional roots are counted once, matching the
-        affine root directions through the facet.
-        """
-        g = self.group
-        diff = self._alcove_side_vector()
-        out = []
-        for lid, prim in enumerate(g.line_primitives):
-            if g.families[lid].s_lin not in self.w0j:
-                continue
-            val = dot(prim, diff)
-            if val == 0:
-                raise InternalInvariantError("facet line with degenerate side")
-            out.append(prim if val < 0 else tuple(-x for x in prim))
-        return out
 
     def is_special(self):
         """W_{0,J} = W_0, cross-checked against the parallel-wall test."""
@@ -355,46 +336,6 @@ def predicted_maxima(group, mu, facet):
     lam = _lambda_classes(group, mu)
     reps = {facet.facet_dominant_rep(c) for c in lam}
     return {group.translation(c) for c in reps}
-
-
-def double_coset_count(group, cls, facet):
-    """|W_{0,J} \\ W_0 / W_{0,mu}| for the stabilizer of the class."""
-    stab = {w for w in group.w0.elements
-            if group.w0.act_class(w, cls) == cls}
-    seen = set()
-    count = 0
-    for w in group.w0.elements:
-        if w in seen:
-            continue
-        count += 1
-        seen.update(closure([w], lambda x: (
-            a * x * b for a in facet.w0j for b in stab)))
-    return count
-
-
-def max_double_coset_rep(group, g, facet):
-    """The maximal-length element of {(w' g w'')^J}, by full enumeration.
-
-    Uniqueness of the maximum is asserted; a violation would mean the
-    underlying coset combinatorics is broken for this preset.
-    """
-    seen = set()
-    best = None
-    for w1 in facet.parahoric:
-        for w2 in facet.parahoric:
-            rep = group.min_coset_rep(w1 * g * w2, facet.letters)
-            seen.add(rep)
-    top = max(r.length for r in seen)
-    tops = [r for r in seen if r.length == top]
-    if len(tops) != 1:
-        raise InternalInvariantError(
-            "maximal double-coset representative is not unique")
-    best = tops[0]
-    fast = group.dc_rep(g, facet.letters)
-    if fast != best:
-        raise InternalInvariantError(
-            "double-coset ascent disagrees with enumeration")
-    return best
 
 
 def schubert_components(group, mu, facet, length_cap=64):

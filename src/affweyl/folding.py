@@ -261,15 +261,14 @@ def coinvariants(action, side="cocharacters"):
     return CoinvariantLattice(n, cols)
 
 
-def invariant_pairing(action, cls, chi, side="cocharacters"):
+def invariant_pairing(action, cls, chi):
     """<cls, chi> for an invariant character chi; independent of the lift.
 
     The value is computed on one representative and re-checked on its shift
     by every relation column, so ill-posed inputs fail loudly rather than
     silently.
     """
-    mats = action.generators if side == "cocharacters" else action.cochar_generators
-    for g in mats:
+    for g in action.generators:
         if mat_vec(g, chi) != tuple(chi):
             raise PairingError("character is not invariant under the action")
     lat = cls.lattice
@@ -281,9 +280,10 @@ def invariant_pairing(action, cls, chi, side="cocharacters"):
     return val
 
 
-def average_lift(action, cls, side="cocharacters"):
-    """The invariant rational representative of a coinvariant class."""
-    mats = action.cochar_elements if side == "cocharacters" else action.group_elements
+def average_lift(action, cls):
+    """The invariant rational representative of a cocharacter coinvariant
+    class."""
+    mats = action.cochar_elements
     rep = cls.lattice.lift(cls)
     n = len(rep)
     acc = [Fraction(0)] * n

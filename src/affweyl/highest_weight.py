@@ -271,16 +271,9 @@ class DominanceOrder:
         the projected simple roots (exact integer feasibility)."""
         diff = mu - lam
         coeffs = self._coefficients(diff.free)
-        if coeffs is None:
+        if coeffs is None or any(c < 0 or c.denominator != 1 for c in coeffs):
             return False
-        if any(c < 0 or c.denominator != 1 for c in coeffs):
-            return False
-        acc = self.folded.char_coinv.make(
-            (0,) * self.folded.char_coinv.free_rank,
-            (0,) * len(self.folded.char_coinv.torsion))
-        for c, g in zip(coeffs, self.generators):
-            acc = acc + g.scale(int(c))
-        return acc.torsion == diff.torsion and acc.free == diff.free
+        return _torsion_offset(self.folded, coeffs) == diff.torsion
 
     def _coefficients(self, free_vec):
         """Coefficients of free_vec in the projected simple roots, as

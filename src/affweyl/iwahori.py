@@ -41,7 +41,8 @@ from itertools import product as iproduct
 from math import gcd
 
 from .errors import EchelonnageError, ElementParseError, InternalInvariantError
-from .folding import CoinvariantLattice, average_lift, coinvariants
+from .folding import (CoinvariantLattice, average_lift, coinvariants,
+                      invariant_pairing)
 from .linalg import (dot, identity, mat_mul, mat_transpose, mat_vec,
                      primitive_covector, solve_rational, vec_add, vec_scale,
                      vec_sub)
@@ -228,7 +229,6 @@ class IwahoriWeylGroup:
         self._length_cache = {}
         self._word_cache = {}
         self._build_simple_affine()
-        self._omega_reps = {}
 
     # -- construction --------------------------------------------------------
 
@@ -250,20 +250,17 @@ class IwahoriWeylGroup:
         realized = [average_lift(action, b) for b in basis]
         positive = set(datum.positive_indices)
         seen = {}
-        self.rel_roots = []  # (covector of Fractions, positive, multiplicity)
+        self.rel_roots = []  # (covector of Fractions, positive)
         for idx, r in enumerate(datum.roots):
             cov = tuple(dot(real, r) for real in realized)
             pos = idx in positive
             if cov in seen:
-                j = seen[cov]
-                c0, p0_, m0 = self.rel_roots[j]
-                if p0_ != pos:
+                if self.rel_roots[seen[cov]][1] != pos:
                     raise InternalInvariantError("relative positivity is inconsistent")
-                self.rel_roots[j] = (c0, p0_, m0 + 1)
             else:
                 seen[cov] = len(self.rel_roots)
-                self.rel_roots.append((cov, pos, 1))
-        for cov, pos, _ in self.rel_roots:
+                self.rel_roots.append((cov, pos))
+        for cov, pos in self.rel_roots:
             neg = tuple(-x for x in cov)
             if pos and neg in seen and self.rel_roots[seen[neg]][1]:
                 raise InternalInvariantError(
@@ -276,7 +273,7 @@ class IwahoriWeylGroup:
             if prim not in simple_first:
                 simple_first.append(prim)
         others = []
-        for cov, pos, _ in self.rel_roots:
+        for cov, pos in self.rel_roots:
             if not pos:
                 continue
             prim = primitive_covector(cov)
@@ -301,7 +298,7 @@ class IwahoriWeylGroup:
                     "a wall table must be declared for twisted groups")
             wall_table = []
             seen_lines = set()
-            for cov, pos, _ in self.rel_roots:
+            for cov, pos in self.rel_roots:
                 if not pos:
                     continue
                 prim = primitive_covector(cov)
@@ -637,7 +634,6 @@ class IwahoriWeylGroup:
 
     def pairing_two_rho(self, cls):
         """<cls, 2 rho_B> through any representative (well-defined)."""
-        from .folding import invariant_pairing
         return invariant_pairing(self.action, cls, self.datum.two_rho)
 
     # -- element parsing / printing ---------------------------------------------------

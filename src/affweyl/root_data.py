@@ -76,10 +76,6 @@ class BasedRootDatum:
 
     # -- basic structure ---------------------------------------------------
 
-    def pairing(self, mu, chi):
-        """<mu, chi> for a cocharacter mu and character chi."""
-        return dot(mu, chi)
-
     @cached_property
     def root_index(self):
         return {r: i for i, r in enumerate(self.roots)}
@@ -142,10 +138,6 @@ class BasedRootDatum:
         for i in self.positive_indices:
             out = tuple(a + b for a, b in zip(out, self.coroots[i]))
         return out
-
-    def height(self, mu):
-        """<mu, rho>-style height of a cocharacter, doubled to stay integral."""
-        return dot(mu, self.two_rho)
 
     def is_dominant_cochar(self, mu):
         return all(dot(mu, a) >= 0 for a in self.simple_roots)
@@ -399,17 +391,6 @@ class WeylGroup(FiniteReflectionGroup):
         """(mu+, w) with w * mu = mu+ dominant; least-index descent at each step."""
         return self.descend(tuple(mu), self.datum.simple_roots, dot,
                             WeylElement.apply_cochar)
-
-    def stabilizer_generators(self, mu):
-        """Generators of Stab_W(mu): a standard parabolic conjugated back."""
-        mu = tuple(mu)
-        dom, w = self.dominant_representative(mu)
-        winv = w.inverse()
-        gens = []
-        for k, a in enumerate(self.datum.simple_roots):
-            if dot(dom, a) == 0:
-                gens.append(winv * self.simple_reflections[k] * w)
-        return tuple(gens)
 
     def stabilizer_order(self, mu):
         return len(self) // len(self.orbit(mu))

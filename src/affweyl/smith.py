@@ -104,16 +104,6 @@ def smith_normal_form(a, inverses=False):
     return tuple(tuple(tuple(r) for r in mat) for mat in mats)
 
 
-def invariant_factors(a):
-    """Nonzero diagonal entries of the Smith normal form of ``a``."""
-    s, _, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i] != 0:
-            out.append(s[i][i])
-    return tuple(out)
-
-
 def verify_decomposition(a, s, u, v, uinv=None, vinv=None):
     """Check U A V = S, U U^-1 = 1, V V^-1 = 1 and A = U^-1 S V^-1 exactly.
 

@@ -1,0 +1,120 @@
+"""Reference routes that only the tests use: enumerations that check the
+library's fast paths from their definitions.
+
+Tests import this module as they import ``conftest``.
+"""
+
+from affweyl.errors import InternalInvariantError
+from affweyl.linalg import dot
+from affweyl.root_data import closure
+from affweyl.smith import smith_normal_form
+
+
+# -- Iwahori-Weyl groups: words and the subword order --------------------------
+
+
+def all_reduced_words(group, g):
+    """Every reduced word of g in the simple affine reflections (l(g) = 0
+    gives the empty word only)."""
+    if g.length == 0:
+        return [()]
+    out = []
+    for s in group.simple_affine:
+        shorter = s.element * g
+        if shorter.length < g.length:
+            out.extend((s.index,) + rest
+                       for rest in all_reduced_words(group, shorter))
+    return out
+
+
+def subword_downset(group, g):
+    """All products of subwords of all reduced words of the affine part."""
+    om = g.omega
+    aff = g.affine_part()
+    reachable = set()
+    for word in all_reduced_words(group, aff):
+        states = {group.identity()}
+        for i in word:
+            s = group.simple_affine_element(i)
+            states |= {x * s for x in states}
+        reachable |= states
+    return {x * om for x in reachable}
+
+
+# -- facets and double cosets ----------------------------------------------------
+
+
+def restricted_lines(facet):
+    """One positively-oriented primitive covector per reflection hyperplane
+    direction of R_J.
+
+    For reduced restricted systems this is R_J^+ up to scaling; in the
+    nonreduced case proportional roots are counted once, matching the
+    affine root directions through the facet.
+    """
+    g = facet.group
+    diff = facet._alcove_side_vector()
+    out = []
+    for lid, prim in enumerate(g.line_primitives):
+        if g.families[lid].s_lin not in facet.w0j:
+            continue
+        val = dot(prim, diff)
+        if val == 0:
+            raise InternalInvariantError("facet line with degenerate side")
+        out.append(prim if val < 0 else tuple(-x for x in prim))
+    return out
+
+
+def double_coset_count(group, cls, facet):
+    """|W_{0,J} \\ W_0 / W_{0,mu}| for the stabilizer of the class."""
+    stab = {w for w in group.w0.elements
+            if group.w0.act_class(w, cls) == cls}
+    seen = set()
+    count = 0
+    for w in group.w0.elements:
+        if w in seen:
+            continue
+        count += 1
+        seen.update(closure([w], lambda x: (
+            a * x * b for a in facet.w0j for b in stab)))
+    return count
+
+
+def max_double_coset_rep(group, g, facet):
+    """The maximal-length element of {(w' g w'')^J}, by full enumeration.
+
+    Uniqueness of the maximum is asserted, and so is agreement with the
+    double-coset ascent ``group.dc_rep``.
+    """
+    seen = set()
+    for w1 in facet.parahoric:
+        for w2 in facet.parahoric:
+            seen.add(group.min_coset_rep(w1 * g * w2, facet.letters))
+    top = max(r.length for r in seen)
+    tops = [r for r in seen if r.length == top]
+    if len(tops) != 1:
+        raise InternalInvariantError(
+            "maximal double-coset representative is not unique")
+    if group.dc_rep(g, facet.letters) != tops[0]:
+        raise InternalInvariantError(
+            "double-coset ascent disagrees with enumeration")
+    return tops[0]
+
+
+# -- finite Weyl groups and Smith forms ---------------------------------------------
+
+
+def stabilizer_generators(weyl, mu):
+    """Generators of Stab_W(mu): a standard parabolic conjugated back."""
+    dom, w = weyl.dominant_representative(mu)
+    winv = w.inverse()
+    return tuple(winv * weyl.simple_reflections[k] * w
+                 for k, a in enumerate(weyl.datum.simple_roots)
+                 if dot(dom, a) == 0)
+
+
+def invariant_factors(a):
+    """Nonzero diagonal entries of the Smith normal form of ``a``."""
+    s, _, _ = smith_normal_form(a)
+    return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))
+                 if s[i][i] != 0)

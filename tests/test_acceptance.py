@@ -13,11 +13,13 @@ import pytest
 
 from affweyl import facets as fc
 from affweyl import highest_weight as hw
-from affweyl.folding import coinvariants, fold
+from affweyl.folding import PinnedAction, coinvariants, fold
 from affweyl.linalg import dot, mat_mul, mat_inverse_int
-from affweyl.presets import load_action, load_datum, load_group
+from affweyl.presets import list_presets, load_action, load_datum, load_group
+from affweyl.root_data import BasedRootDatum
 from affweyl.smith import verify_decomposition
 from conftest import child_env
+from oracles import double_coset_count, restricted_lines, subword_downset
 
 PRESETS = ["a1-sc", "a1-ad", "a2-sc", "c2-sc", "g2", "folded-a3"]
 
@@ -72,7 +74,7 @@ def test_criterion_2_coset_length_formula():
         group = grp(name)
         classes = class_box(group, 3 if group.coinv.free_rank <= 2 else 2)
         for facet in fc.enumerate_facets(group):
-            lines = facet.restricted_lines()
+            lines = restricted_lines(facet)
             wj = sorted(facet.parahoric, key=lambda g: (g.length, g.key()))
             for cls in classes:
                 t = group.translation(cls)
@@ -96,7 +98,7 @@ def test_criterion_3_maximal_admissible():
             for cls in sample:
                 maxima, count = fc.maximal_admissible(group, cls, facet)
                 assert set(maxima) == fc.predicted_maxima(group, cls, facet)
-                assert count == fc.double_coset_count(group, cls, facet)
+                assert count == double_coset_count(group, cls, facet)
                 expected_len = group.pairing_two_rho(group.dominant_class(cls))
                 assert all(m.length == expected_len for m in maxima)
     print("ACCEPTANCE 3 (maximal admissible elements): PASS")
@@ -122,7 +124,7 @@ def test_criterion_4_speciality_criteria():
                 facet = facets[row["facet"]]
                 cls = row["nonunique_mu"]
                 _, count = fc.maximal_admissible(group, cls, facet)
-                lower = fc.double_coset_count(group, cls, facet)
+                lower = double_coset_count(group, cls, facet)
                 assert count >= lower >= 2
     print("ACCEPTANCE 4 (speciality criteria agree at sample scale): PASS")
 
@@ -146,31 +148,6 @@ def test_criterion_5_projected_orbit_maxima():
                                  for h in trans.values())}
             assert maxima == lam, (name, mu)
     print("ACCEPTANCE 5 (projected orbit maxima): PASS")
-
-
-def all_reduced_words(group, g):
-    if g.length == 0:
-        return [()]
-    out = []
-    for s in group.simple_affine:
-        shorter = s.element * g
-        if shorter.length < g.length:
-            out.extend((s.index,) + rest
-                       for rest in all_reduced_words(group, shorter))
-    return out
-
-
-def subword_downset(group, g):
-    om = g.omega
-    aff = g.affine_part()
-    reachable = set()
-    for word in all_reduced_words(group, aff):
-        states = {group.identity()}
-        for i in word:
-            s = group.simple_affine_element(i)
-            states |= {x * s for x in states}
-        reachable |= states
-    return {x * om for x in reachable}
 
 
 def test_criterion_6_bruhat_oracle():
@@ -289,3 +266,53 @@ def test_criterion_3_on_other_presets(name, monkeypatch):
 def test_criterion_4_on_other_presets(name, monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "PRESETS", [name])
     test_criterion_4_speciality_criteria()
+
+
+def dual_fold(group):
+    """The fold of the dual datum (roots and coroots swapped) under the
+    contragredient action: its character-side coinvariants are the group's
+    cocharacter-side ones, from the same relation columns, so class
+    coordinates carry over unchanged."""
+    act = group.action
+    d = act.datum
+    dual = BasedRootDatum(d.rank, d.coroots, d.roots, d.simples)
+    return fold(PinnedAction(dual, act.cochar_generators))
+
+
+def satake_triples(group, folded):
+    """(mu, K, Adm^K(mu), {dc_rep(t^lam) : lam a weight of V_mu}) for every
+    mu in ``default_mu_sample`` and every special facet K with letters; V_mu
+    is the irreducible of highest weight mu of the fold."""
+    special = [f for f in fc.enumerate_facets(group) if f.letters and f.is_special()]
+    for cls in fc.default_mu_sample(group):
+        weights = hw.character_with_torsion(
+            folded, folded.char_coinv.make(cls.free, cls.torsion)).entries
+        for facet in special:
+            adm = fc.admissible_set(group, cls, facet).elements
+            reps = {group.dc_rep(group.translation(group.coinv.make(w.free, w.torsion)),
+                                 facet.letters) for w in weights}
+            yield cls, facet, adm, reps
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in list_presets()])
+def test_criterion_10_satake_weights(name):
+    """At a special facet K, Adm^K(mu) is the set of images dc_rep(t^lam),
+    lam running over the weights of the irreducible of highest weight mu of
+    the fixed-point group of the dual group, and dc_rep(t^mu) has length
+    <mu, 2 rho>: the cells of Gr_{<= mu} in the ramified geometric Satake
+    equivalence; exact."""
+    group = grp(name)
+    for cls, facet, adm, reps in satake_triples(group, dual_fold(group)):
+        assert adm == reps, (name, cls, facet.letters)
+        top = group.dc_rep(group.translation(cls), facet.letters)
+        assert top.length == group.pairing_two_rho(group.dominant_class(cls))
+    print(f"ACCEPTANCE 10 (Satake weights) on {name}: PASS")
+
+
+@pytest.mark.parametrize("name", ["g2", "folded-a3", "a2-sc", "c2-sc", "a1-ad"])
+def test_criterion_10_needs_the_dual(name):
+    """Folding the group's own datum instead of its dual breaks the set
+    equality, so criterion 10 discriminates."""
+    group = grp(name)
+    triples = list(satake_triples(group, fold(group.action)))
+    assert triples and any(adm != reps for _, _, adm, reps in triples)

@@ -8,32 +8,7 @@ import pytest
 from itertools import product as iproduct
 
 from affweyl.errors import ElementParseError
-
-
-def all_reduced_words(group, g):
-    if g.length == 0:
-        return [()]
-    out = []
-    for s in group.simple_affine:
-        shorter = s.element * g
-        if shorter.length < g.length:
-            out.extend((s.index,) + rest
-                       for rest in all_reduced_words(group, shorter))
-    return out
-
-
-def subword_downset(group, g):
-    """All products of subwords of all reduced words of the affine part."""
-    om = g.omega
-    aff = g.affine_part()
-    reachable = set()
-    for word in all_reduced_words(group, aff):
-        states = {group.identity()}
-        for i in word:
-            s = group.simple_affine_element(i)
-            states |= {x * s for x in states}
-        reachable |= states
-    return {x * om for x in reachable}
+from oracles import subword_downset
 
 
 def sample_classes(group, radius=2):
