@@ -168,10 +168,9 @@ def cmd_adm(args):
     facet = fc.Facet(group, letters)
     mu = _class_for_group(group, args.mu)
     adm = fc.admissible_set(group, mu, facet, length_cap=args.cap)
-    elements = sorted(adm.elements,
-                      key=lambda g: (g.length, group.element_to_string(g)))
-    rows = [{"element": group.element_to_string(g), "length": g.length,
-             "maximal": g in adm.maxima} for g in elements]
+    rows = sorted(({"element": group.element_to_string(g), "length": g.length,
+                    "maximal": g in adm.maxima} for g in adm.elements),
+                  key=lambda r: (r["length"], r["element"]))
     doc = {
         "schema": SCHEMA,
         "preset": args.preset,
@@ -223,11 +222,10 @@ def cmd_branch(args):
     dec = hw.restrict_to_fixed_group(datum, action, lam, fd)
     rows = []
     for cls, mult in dec:
-        ch = hw.character_with_torsion(fd, cls)
         rows.append({"mu_free": ",".join(map(str, cls.free)),
                      "mu_torsion": ",".join(map(str, cls.torsion)),
                      "multiplicity": mult,
-                     "dim": ch.dimension()})
+                     "dim": hw.character_dimension(fd, cls)})
     doc = {"schema": SCHEMA, "preset": args.preset, "action": args.action,
            "lambda": ",".join(map(str, lam)),
            "dim_total": hw.weyl_dimension(datum, lam), "rows": rows}

@@ -44,6 +44,10 @@ class CapExceededError(AffweylError):
     name = "facets.cap_exceeded"
 
 
+class FacetError(AffweylError):
+    name = "facets.unknown_letter"
+
+
 class DominanceError(AffweylError):
     name = "dual.nondominant"
 

@@ -22,11 +22,11 @@ length-zero representatives once and shares them between the facets, and
 keeps one double-coset memo per facet for every mu and the parity pass.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iproduct, takewhile
 
-from .errors import CapExceededError, InfiniteGroupError, InternalInvariantError
+from .errors import (CapExceededError, FacetError, InfiniteGroupError,
+                     InternalInvariantError)
 from .linalg import dot, nullspace_rational, primitive_covector, solve_rational
 from .root_data import closure
 
@@ -37,6 +37,11 @@ class Facet:
     def __init__(self, group, letters):
         self.group = group
         self.letters = tuple(sorted(letters))
+        known = {s.index for s in group.simple_affine}
+        for j in self.letters:
+            if j not in known:
+                raise FacetError(f"facet letter {j} names no simple affine "
+                                 f"reflection (they are {sorted(known)})")
         self._enumerate()
 
     def _enumerate(self):
@@ -105,6 +110,7 @@ class Facet:
         return all_, pos
 
     def _alcove_side_vector(self):
+        from fractions import Fraction
         g = self.group
         p0 = tuple(Fraction(x, g.p0_den) for x in g.p0_num)
         return tuple(a - b for a, b in zip(p0, self.hull_point))

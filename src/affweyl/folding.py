@@ -11,7 +11,6 @@ the flag is recorded and the Coxeter realization of the nonreduced restricted
 system is deferred to the wall tables of the affine layer).
 """
 
-from fractions import Fraction
 from functools import cached_property
 from operator import mod
 
@@ -283,6 +282,7 @@ def invariant_pairing(action, cls, chi):
 def average_lift(action, cls):
     """The invariant rational representative of a cocharacter coinvariant
     class."""
+    from fractions import Fraction
     mats = action.cochar_elements
     rep = cls.lattice.lift(cls)
     n = len(rep)
@@ -324,8 +324,8 @@ class FoldedDatum:
 
     @cached_property
     def characters(self):
-        """Characters with torsion of this fold computed so far, by highest
-        weight class (filled by ``highest_weight.character_with_torsion``)."""
+        """Dominant characters with torsion computed so far, by highest weight
+        class (``highest_weight.dominant_character_with_torsion`` fills it)."""
         return {}
 
 

@@ -11,27 +11,26 @@ original cocharacter lattice).  The pipeline is:
   G = sum of cv cv^T over the coroots, every norm is taken on doubled
   weights, q(2mu + 2rho) = (2mu + 2rho)^T G (2mu + 2rho), so that rho =
   two_rho / 2 never leaves Z; the multiplicity of mu is then
-  8 acc / (q(2lam + 2rho) - q(2mu + 2rho)), checked to be exact.
-  ``kostant_multiplicity`` (Kostant's alternating sum) and
-  ``weyl_dimension`` (Weyl's dimension formula) are independent oracles
-  for it;
+  8 acc / (q(2lam + 2rho) - q(2mu + 2rho)), checked to be exact;
+  ``weyl_dimension`` (Weyl's dimension formula) is independent of it;
 * the dominance order on the character-side coinvariants, with the
   projected simple roots as cone generators; coefficients in the simple
   roots come from the folded datum's integer left inverse of its simple
   roots, the one its positivity was read from;
-* component-group twists: weights of a disconnected-group irreducible are
-  the connected-group weights lifted back to the full coinvariant lattice,
-  the torsion offsets being dictated by the projected simple roots;
-* restriction along fold: project an absolute irreducible's weights and
-  greedily peel highest-weight characters from the top of the dominance
-  order, checking the weights each round lowers.
+* component-group twists: the dominant weights of a connected-group
+  irreducible are lifted to the full coinvariant lattice, the torsion
+  offsets dictated by the projected simple roots, and the orbit walk
+  carries the offsets to the other weights;
+* restriction along fold: project an absolute irreducible's weights, keep
+  the classes with dominant free part and greedily peel dominant
+  characters from the top of the dominance order.
 
-A fold's dominance order and its characters with torsion are built once
-and kept on the ``FoldedDatum`` (``dominance``, ``characters``), so every
-caller holding the same fold reuses them.
+A fold's dominance order and its dominant characters with torsion are
+built once and kept on the ``FoldedDatum`` (``dominance``,
+``characters``), so every caller holding the same fold reuses them.
 """
 
-from fractions import Fraction
+from math import prod
 
 from .errors import DominanceError, PeelingError
 from .folding import fold
@@ -120,12 +119,22 @@ def freudenthal(datum, lam):
     def norm(v):
         return dot(v, mat_vec(gram, v))
 
+    simple = tuple(zip(datum.simple_coroots, datum.simple_roots))
     reps = {}
 
     def dom_rep(v):
         rep = reps.get(v)
         if rep is None:
-            rep = reps[v] = dominant_of_char(datum, v)[0]
+            # dominant_of_char's walk, on the weight alone
+            rep = v
+            while True:
+                for cv, alpha in simple:
+                    if (n := dot(cv, rep)) < 0:
+                        rep = tuple(x - n * a for x, a in zip(rep, alpha))
+                        break
+                else:
+                    break
+            reps[v] = rep
         return rep
 
     # (alpha, G alpha, q(alpha)) for every positive root
@@ -204,52 +213,10 @@ def weyl_dimension(datum, lam):
         cv = datum.coroots[i]
         num *= dot(cv, tuple(2 * x for x in lam)) + dot(cv, rho2)
         den *= dot(cv, rho2)
-    q = Fraction(num, den)
-    if q.denominator != 1:
+    q, rem = divmod(num, den)
+    if rem:
         raise PeelingError("Weyl dimension formula produced a non-integer")
-    return int(q)
-
-
-def kostant_multiplicity(datum, lam, mu):
-    """Weight multiplicity by Kostant's alternating sum (test oracle)."""
-    positives = datum.positive_roots
-    memo = {}
-
-    def partitions(v, idx):
-        v = tuple(v)
-        if all(x == 0 for x in v):
-            return 1
-        if idx == len(positives):
-            return 0
-        key = (v, idx)
-        if key in memo:
-            return memo[key]
-        total = partitions(v, idx + 1)
-        shifted = vec_sub(v, positives[idx])
-        # only finitely many subtractions can stay in the positive cone
-        if _in_root_cone(datum, shifted):
-            total += partitions(shifted, idx)
-        memo[key] = total
-        return total
-
-    rho = datum.two_rho  # doubled; scale the whole identity by 2
-    total = 0
-    for w in datum.weyl.elements:
-        arg2 = vec_sub(vec_add(w.apply_char(tuple(2 * x for x in lam)),
-                               w.apply_char(rho)),
-                       vec_add(tuple(2 * x for x in mu), rho))
-        if any(x % 2 for x in arg2):
-            continue
-        arg = tuple(x // 2 for x in arg2)
-        if not _in_root_cone(datum, arg):
-            continue
-        total += (-1) ** w.length * partitions(arg, 0)
-    return total
-
-
-def _in_root_cone(datum, v):
-    coords = datum._root_coordinates(v)
-    return coords is not None and all(x >= 0 for x in coords)
+    return q
 
 
 # -- dominance order on coinvariants ---------------------------------------------
@@ -285,6 +252,7 @@ class DominanceOrder:
         den = self.folded.datum.simple_root_inverse[1]
         if all(x % den == 0 for x in scaled):
             return tuple(x // den for x in scaled)
+        from fractions import Fraction
         return tuple(Fraction(x, den) for x in scaled)
 
 
@@ -331,33 +299,63 @@ def extend_by_component_twist(char, mu_cls, folded):
     return out
 
 
-def character_with_torsion(folded, mu_cls):
-    """Weight multiset of the irreducible of highest weight mu_cls on the
-    full (torsion-carrying) coinvariant lattice.
-
-    Each class's character is computed once per fold and kept in
-    ``folded.characters``; every call returns its own copy.
-    """
+def dominant_character_with_torsion(folded, mu_cls):
+    """The classes with dominant free part in ``character_with_torsion``:
+    Freudenthal's multiplicities, each twisted once, kept per fold in
+    ``folded.characters``; every call returns its own copy."""
     char = folded.characters.get(mu_cls)
     if char is None:
         if not folded.datum.is_dominant_char(mu_cls.free):
             raise DominanceError(f"{mu_cls} is not dominant for the folded datum")
-        conn = irreducible_character(folded.datum, mu_cls.free)
-        char = extend_by_component_twist(conn, mu_cls, folded)
-        folded.characters[mu_cls] = char
+        conn = WeightMultiset(freudenthal(folded.datum, mu_cls.free))
+        char = folded.characters[mu_cls] = extend_by_component_twist(conn, mu_cls, folded)
     return WeightMultiset(char.entries)
+
+
+def character_with_torsion(folded, mu_cls):
+    """Weight multiset of the irreducible of highest weight mu_cls on the
+    full (torsion-carrying) coinvariant lattice: the dominant classes
+    spread over W0-orbits by the walk of ``weyl_orbit_char``, a step
+    v -> v - n alpha_i taking n times alpha_i's torsion off the class."""
+    co = folded.char_coinv
+    simple = tuple(zip(folded.datum.simple_coroots, folded.datum.simple_roots,
+                       folded.simple_torsion))
+
+    def down(wt):
+        v, t = wt
+        for cv, alpha, tors in simple:
+            if (n := dot(cv, v)) > 0:
+                yield (tuple(x - n * a for x, a in zip(v, alpha)),
+                       tuple((x - n * a) % d for x, a, d in zip(t, tors, co.torsion)))
+
+    out = WeightMultiset()
+    for cls, m in dominant_character_with_torsion(folded, mu_cls).entries.items():
+        for v, t in closure([(cls.free, cls.torsion)], down):
+            out.entries[co.make(v, t)] = m
+    return out
+
+
+def character_dimension(folded, mu_cls):
+    """Sum of m |W0 nu| over the dominant classes nu (multiplicity m) of
+    the irreducible of highest weight mu_cls; |W0 nu| depends only on the
+    simple coroots vanishing on nu, whose reflections generate its
+    stabilizer."""
+    fd = folded.datum
+    sizes = {}
+    total = 0
+    for cls, m in dominant_character_with_torsion(folded, mu_cls).entries.items():
+        walls = tuple(dot(cv, cls.free) == 0 for cv in fd.simple_coroots)
+        if walls not in sizes:
+            sizes[walls] = len(weyl_orbit_char(fd, cls.free))
+        total += m * sizes[walls]
+    return total
 
 
 def induced_dimension(folded, mu_cls):
     """dim of the induction of the connected irreducible to the full fixed
     group, computed from the component-twist side of the reciprocity
     isomorphism."""
-    base = character_with_torsion(folded, mu_cls)
-    pi0 = folded.component_group
-    n_chars = 1
-    for d in pi0:
-        n_chars *= d
-    return n_chars * base.dimension()
+    return prod(folded.component_group) * character_dimension(folded, mu_cls)
 
 
 # -- restriction along folding ------------------------------------------------------
@@ -367,23 +365,29 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
     """Decompose the projection of an absolute irreducible character into
     highest-weight characters of the fixed-point group.
 
-    Returns a sorted list of (class, multiplicity).  Peeling is greedy from
-    the top of the dominance order (height functional, lexicographic tie
-    break); a negative residue raises, since it would falsify the
-    highest-weight theory this computes in.  Each round removes its top
-    weight for good (a weight it added would be negative and raise), so
-    there are at most as many rounds as distinct projected weights.
+    Returns a sorted list of (class, multiplicity).  The projected
+    character and every constituent's are W0-invariant, so their classes
+    with dominant free part determine them, and only those are kept and
+    peeled; a weight of maximal height is dominant (a simple reflection
+    raises any other), so the tops are those of a peel of every weight.
+    Peeling is greedy from the top of the dominance order (height
+    functional, lexicographic tie break); a negative residue raises, since
+    it would falsify the highest-weight theory this computes in.  Each
+    round removes its top weight for good (a weight it added would be
+    negative and raise), so there are at most as many rounds as kept
+    classes.
     """
     if folded is None:
         folded = fold(action)
     if not datum.is_dominant_char(lam):
         raise DominanceError(f"{lam} is not dominant")
     co = folded.char_coinv
-    absolute = irreducible_character(datum, lam)
-    remaining = WeightMultiset()
-    for w, m in absolute.entries.items():
-        remaining.add(co.project(w), m)
     fd = folded.datum
+    remaining = WeightMultiset()
+    for w, m in irreducible_character(datum, lam).entries.items():
+        cls = co.project(w)
+        if fd.is_dominant_char(cls.free):
+            remaining.add(cls, m)
     height = fd.two_rho_check
 
     def sort_key(cls):
@@ -396,11 +400,8 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
         mult = remaining[top]
         if mult < 0:
             raise PeelingError("negative multiplicity while peeling")
-        if not fd.is_dominant_char(top.free):
-            raise PeelingError(f"top weight {top} is not dominant; "
-                               "cannot peel a highest-weight character")
         # a round checks the weights it lowers; the rest are checked at the top
-        for w, m in character_with_torsion(folded, top).entries.items():
+        for w, m in dominant_character_with_torsion(folded, top).entries.items():
             remaining.add(w, -m * mult)
             if remaining[w] < 0:
                 raise PeelingError("negative multiplicity while peeling")

@@ -36,9 +36,8 @@ costs a memo lookup and one small matrix times vector, with no Smith-form
 lift or projection.
 """
 
-from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, lcm
 
 from .errors import EchelonnageError, ElementParseError, InternalInvariantError
 from .folding import (CoinvariantLattice, average_lift, coinvariants,
@@ -306,9 +305,9 @@ class IwahoriWeylGroup:
                     continue
                 seen_lines.add(prim)
                 icov = tuple(int(x) for x in cov)
-                if tuple(Fraction(x) for x in icov) != tuple(cov):
+                if icov != tuple(cov):
                     raise InternalInvariantError("split covector is not integral")
-                wall_table.append((icov, Fraction(1)))
+                wall_table.append((icov, 1))
         assigned = {}
         for cov, stride in wall_table:
             prim = primitive_covector(cov)
@@ -318,14 +317,12 @@ class IwahoriWeylGroup:
                     f"wall direction {cov} is not a relative root direction")
             if line_id in assigned:
                 raise EchelonnageError("duplicate wall entry for a root direction")
-            norm = tuple(Fraction(x) / Fraction(stride) for x in cov)
-            ints = []
-            for x in norm:
-                if x.denominator != 1:
-                    raise EchelonnageError(
-                        "normalized wall covector is not integral; bad stride")
-                ints.append(int(x))
-            assigned[line_id] = tuple(ints)
+            # cov / stride, stride = p/q
+            p, q = stride.numerator, stride.denominator
+            if any(x * q % p for x in cov):
+                raise EchelonnageError(
+                    "normalized wall covector is not integral; bad stride")
+            assigned[line_id] = tuple(x * q // p for x in cov)
         missing = [self.line_primitives[i] for i in range(len(self.line_primitives))
                    if i not in assigned]
         if missing:
@@ -360,14 +357,10 @@ class IwahoriWeylGroup:
                 break
         diff = vec_sub(x0, mat_vec(s_lin.mat, x0))
         c = dot(cprime, x0)
-        w_vec = tuple(Fraction(d, c) for d in diff)
-        ints = []
-        for x in w_vec:
-            if x.denominator != 1:
-                raise EchelonnageError(
-                    "wall reflections do not preserve the translation lattice")
-            ints.append(int(x))
-        return tuple(ints)
+        if any(d % c for d in diff):
+            raise EchelonnageError(
+                "wall reflections do not preserve the translation lattice")
+        return tuple(d // c for d in diff)
 
     def _unit_class(self, w_vec):
         co = self.coinv
@@ -397,15 +390,12 @@ class IwahoriWeylGroup:
         rho = solve_rational(rows, rhs)
         if rho is None:
             raise InternalInvariantError("no regular direction for the base alcove")
-        vals = [sum(Fraction(c) * x for c, x in zip(fam.covector, rho))
-                for fam in self.families]
+        vals = [dot(fam.covector, rho) for fam in self.families]
         if any(v <= 0 for v in vals):
             raise InternalInvariantError("base direction is not regular dominant")
         k = max(vals)
         p0 = tuple(-x / (2 * k) for x in rho)
-        den = 1
-        for x in p0:
-            den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in p0))
         self.p0_num = tuple(int(x * den) for x in p0)
         self.p0_den = den
         for fam in self.families:

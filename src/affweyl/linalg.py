@@ -1,10 +1,10 @@
 """Small exact linear algebra helpers over Z and Q.
 
 Everything here works on tuples of Python ints or Fractions, so results are
-exact by construction.  Matrices are tuples of rows.
+exact by construction.  Matrices are tuples of rows.  Only the functions
+that return rationals import ``fractions``.
 """
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -44,28 +44,31 @@ def identity(n):
 
 
 def _reduce(rows, extra, n):
-    """Gauss-Jordan reduction over Q of the augmented rows ``rows | extra``.
+    """Gauss-Jordan reduction of the augmented integer rows ``rows | extra``.
 
     Pivots are taken in the first ``n`` columns only, each at the first row
-    with a nonzero entry; the extra columns are carried along.  Returns the
-    reduced rows (lists of Fractions) and the pivot columns, pivot row i
-    having its 1 in column ``pivots[i]``.
+    with a nonzero entry; the extra columns are carried along.  Each row is
+    kept in integers, up to a nonzero scale (its entries' gcd is divided
+    out).  Returns the reduced rows (lists of ints) and the pivot columns:
+    pivot row i divided by its entry in column ``pivots[i]`` is the
+    reduced row over Q.
     """
-    aug = [[Fraction(x) for x in row] + [Fraction(x) for x in ext]
+    aug = [list(row) + list(ext)
            for row, ext in zip_longest(rows, extra, fillvalue=())]
     pivots = []
     for col in range(n):
         r = len(pivots)
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][col]
-        aug[r] = [x / p for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        prow = aug[r]
+        p = prow[col]
+        for i, row in enumerate(aug):
+            if i != r and (f := row[col]):
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row) or 1
+                aug[i] = [x // g for x in row]
         pivots.append(col)
     return aug, pivots
 
@@ -76,9 +79,9 @@ def mat_inverse_int(m):
     red, pivots = _reduce(m, identity(n), n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    if any(x.denominator != 1 for row in red for x in row[n:]):
+    if any(x % row[i] for i, row in enumerate(red) for x in row[n:]):
         raise ValueError("matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row[n:]) for row in red)
+    return tuple(tuple(x // row[i] for x in row[n:]) for i, row in enumerate(red))
 
 
 def solve_rational(rows, rhs):
@@ -86,20 +89,22 @@ def solve_rational(rows, rhs):
 
     ``rows`` is a sequence of covectors; free variables are set to 0.
     """
+    from fractions import Fraction
     if not rows:
         return ()
     n = len(rows[0])
     red, pivots = _reduce(rows, [(b,) for b in rhs], n)
-    if any(row[n] != 0 for row in red[len(pivots):]):
+    if any(row[n] for row in red[len(pivots):]):
         return None
     x = [Fraction(0)] * n
     for row, col in zip(red, pivots):
-        x[col] = row[n]
+        x[col] = Fraction(row[n], row[col])
     return tuple(x)
 
 
 def nullspace_rational(rows, n):
     """Basis (tuple of vectors) of the right nullspace of the given covectors."""
+    from fractions import Fraction
     red, pivots = _reduce(rows, (), n)
     basis = []
     for fc in range(n):
@@ -108,7 +113,7 @@ def nullspace_rational(rows, n):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for row, col in zip(red, pivots):
-            v[col] = -row[fc]
+            v[col] = Fraction(-row[fc], row[col])
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -126,24 +131,19 @@ def integer_left_inverse(columns):
     m = len(columns)
     ambient = len(columns[0]) if columns else 0
     red, pivots = _reduce(tuple(zip(*columns)), identity(ambient), m)
-    rows = {col: row[m:] for row, col in zip(red, pivots)}
-    den = lcm(*(x.denominator for row in rows.values() for x in row))
-    num = tuple(tuple(int(x * den) for x in rows[j]) if j in rows
+    rows = {col: row for row, col in zip(red, pivots)}
+    # a reduced row is primitive and T A is its left part, so no prime of
+    # its pivot divides all of its T entries: the pivot is their denominator
+    den = lcm(*(abs(row[j]) for j, row in rows.items()))
+    num = tuple(tuple(x * den // rows[j][j] for x in rows[j][m:]) if j in rows
                 else (0,) * ambient for j in range(m))
     return num, den
 
 
 def primitive_covector(v):
     """Scale a rational covector to a primitive integer one, preserving sign."""
-    dens = [Fraction(x).denominator for x in v]
-    mult = 1
-    for d in dens:
-        mult = mult * d // gcd(mult, d)
-    ints = [int(Fraction(x) * mult) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(ints)
+    mult = lcm(*(x.denominator for x in v))
+    ints = [int(x * mult) for x in v]
+    g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 

@@ -34,7 +34,6 @@ with the trivial action and stride 1 on every root.
 """
 
 import os
-from fractions import Fraction
 
 from .errors import AffweylError, FoldingError, PresetSyntaxError, UnknownPresetError
 from .folding import PinnedAction, trivial_action
@@ -145,6 +144,7 @@ def _action_matrix(datum, decl, where):
 
 
 def _parse_group_file(path):
+    from fractions import Fraction
     name = os.path.splitext(os.path.basename(path))[0]
     base = None
     action = None

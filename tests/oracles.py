@@ -4,8 +4,13 @@ library's fast paths from their definitions.
 Tests import this module as they import ``conftest``.
 """
 
-from affweyl.errors import InternalInvariantError
-from affweyl.linalg import dot
+from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
+
+from affweyl import highest_weight as hw
+from affweyl.errors import InternalInvariantError, PeelingError
+from affweyl.linalg import dot, identity, vec_add, vec_sub
 from affweyl.root_data import closure
 from affweyl.smith import smith_normal_form
 
@@ -118,3 +123,117 @@ def invariant_factors(a):
     s, _, _ = smith_normal_form(a)
     return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))
                  if s[i][i] != 0)
+
+
+# -- highest weights, exact row reduction and branching ---------------------------
+
+
+def kostant_multiplicity(datum, lam, mu):
+    """Weight multiplicity by Kostant's alternating sum, independent of
+    Freudenthal's recursion."""
+    positives = datum.positive_roots
+    memo = {}
+
+    def partitions(v, idx):
+        v = tuple(v)
+        if all(x == 0 for x in v):
+            return 1
+        if idx == len(positives):
+            return 0
+        key = (v, idx)
+        if key in memo:
+            return memo[key]
+        total = partitions(v, idx + 1)
+        shifted = vec_sub(v, positives[idx])
+        # only finitely many subtractions can stay in the positive cone
+        if _in_root_cone(datum, shifted):
+            total += partitions(shifted, idx)
+        memo[key] = total
+        return total
+
+    rho = datum.two_rho  # doubled; scale the whole identity by 2
+    total = 0
+    for w in datum.weyl.elements:
+        arg2 = vec_sub(vec_add(w.apply_char(tuple(2 * x for x in lam)),
+                               w.apply_char(rho)),
+                       vec_add(tuple(2 * x for x in mu), rho))
+        if any(x % 2 for x in arg2):
+            continue
+        arg = tuple(x // 2 for x in arg2)
+        if not _in_root_cone(datum, arg):
+            continue
+        total += (-1) ** w.length * partitions(arg, 0)
+    return total
+
+
+def _in_root_cone(datum, v):
+    coords = datum._root_coordinates(v)
+    return coords is not None and all(x >= 0 for x in coords)
+
+
+def fraction_reduce(rows, extra, n):
+    """``linalg._reduce`` over Q: the same pivot rule, every pivot row
+    scaled to a leading 1."""
+    aug = [[Fraction(x) for x in row] + [Fraction(x) for x in ext]
+           for row, ext in zip_longest(rows, extra, fillvalue=())]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        p = aug[r][col]
+        aug[r] = [x / p for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+    return aug, pivots
+
+
+def fraction_left_inverse(columns):
+    """``linalg.integer_left_inverse`` read off ``fraction_reduce``: the
+    transform rows of the pivot columns over one least common denominator."""
+    m = len(columns)
+    ambient = len(columns[0]) if columns else 0
+    red, pivots = fraction_reduce(tuple(zip(*columns)), identity(ambient), m)
+    rows = {col: row[m:] for row, col in zip(red, pivots)}
+    den = lcm(*(x.denominator for row in rows.values() for x in row))
+    return tuple(tuple(int(x * den) for x in rows[j]) if j in rows
+                 else (0,) * ambient for j in range(m)), den
+
+
+def full_character_with_torsion(folded, mu_cls):
+    """``character_with_torsion`` by the per-weight twist: the connected
+    character's every weight, each lifted by its own coefficient solve."""
+    conn = hw.irreducible_character(folded.datum, mu_cls.free)
+    return hw.extend_by_component_twist(conn, mu_cls, folded)
+
+
+def full_weight_peel(datum, lam, folded):
+    """``restrict_to_fixed_group`` over every projected weight: each round
+    takes the top of all remaining weights and subtracts the constituent's
+    full character with torsion."""
+    co = folded.char_coinv
+    remaining = hw.WeightMultiset()
+    for w, m in hw.irreducible_character(datum, lam).entries.items():
+        remaining.add(co.project(w), m)
+    fd = folded.datum
+    height = fd.two_rho_check
+
+    def sort_key(cls):
+        return (-dot(height, cls.free), cls.free, cls.torsion)
+
+    out = []
+    while remaining.entries:
+        top = min(remaining.entries, key=sort_key)
+        mult = remaining[top]
+        if mult < 0 or not fd.is_dominant_char(top.free):
+            raise PeelingError(f"cannot peel at {top}")
+        for w, m in full_character_with_torsion(folded, top).entries.items():
+            remaining.add(w, -m * mult)
+        out.append((top, mult))
+    out.sort(key=lambda t: sort_key(t[0]))
+    return out

@@ -95,7 +95,7 @@ def test_inflated_constituent_fails_the_peel(monkeypatch, name, lam, which):
     fd = fold(act)
     assert hw.restrict_to_fixed_group(act.datum, act, lam, fd)
     excess = hw.weyl_dimension(act.datum, lam) + 1
-    original = hw.character_with_torsion
+    original = hw.dominant_character_with_torsion
     height = fd.datum.two_rho_check
 
     def inflated(folded, mu_cls):
@@ -105,6 +105,6 @@ def test_inflated_constituent_fails_the_peel(monkeypatch, name, lam, which):
         char.add(w, excess)
         return char
 
-    monkeypatch.setattr(hw, "character_with_torsion", inflated)
+    monkeypatch.setattr(hw, "dominant_character_with_torsion", inflated)
     with pytest.raises(PeelingError, match="^negative multiplicity while peeling$"):
         hw.restrict_to_fixed_group(act.datum, act, lam, fd)

@@ -1,0 +1,147 @@
+"""`branch` and `char` on the dominant chamber against the routes they
+replaced (tests/oracles.py): the peel over classes with dominant free part
+against the peel over every projected weight, the orbit walk that carries
+the torsion against the per-weight twist, the integer row reduction against
+the one over Q, and a CLI that runs without loading `fractions`."""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from affweyl import highest_weight as hw
+from affweyl.cli import build_parser
+from affweyl.folding import CoinvariantLattice, FoldedDatum, fold
+from affweyl.linalg import _reduce, integer_left_inverse
+from affweyl.presets import load_action
+from affweyl.root_data import BasedRootDatum
+from conftest import child_env
+from oracles import (fraction_left_inverse, fraction_reduce,
+                     full_character_with_torsion, full_weight_peel)
+from test_branch_cli import POOL
+from test_branch_closure import FOLDS, _dominant
+
+SAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
+
+
+def _check_constituents(fd, dec):
+    """Each constituent's character, dominant part and dimension against
+    the per-weight twist."""
+    for cls, _ in dec:
+        full = full_character_with_torsion(fd, cls)
+        assert hw.character_with_torsion(fd, cls) == full, cls
+        assert hw.dominant_character_with_torsion(fd, cls).entries == {
+            w: m for w, m in full.entries.items()
+            if fd.datum.is_dominant_char(w.free)}, cls
+        assert hw.character_dimension(fd, cls) == full.dimension(), cls
+
+
+@pytest.mark.parametrize("name,action", FOLDS)
+@SAMPLES
+@given(data=st.data())
+def test_dominant_peel_matches_the_full_weight_peel(name, action, data):
+    act = load_action(name, action)
+    fd = fold(act)
+    lam = _dominant(act.datum, data)
+    dec = hw.restrict_to_fixed_group(act.datum, act, lam, fd)
+    assert dec == full_weight_peel(act.datum, lam, fd), (name, action, lam)
+    _check_constituents(fd, dec)
+
+
+def test_pool_commands_match_the_full_weight_routes():
+    with open(POOL) as f:
+        pool = json.load(f)["branch"]
+    parser = build_parser()
+    for entry in pool:
+        args = parser.parse_args(entry["argv"])
+        act = load_action(args.preset, args.action)
+        fd = fold(act)
+        if args.command == "branch":
+            dec = hw.restrict_to_fixed_group(act.datum, act, args.lam, fd)
+            assert dec == full_weight_peel(act.datum, args.lam, fd), entry["argv"]
+        else:
+            co = fd.char_coinv
+            dec = [(co.make(args.mu[:co.free_rank], args.mu[co.free_rank:]), 1)]
+        _check_constituents(fd, dec)
+
+
+def test_orbit_walk_carries_order_three_torsion():
+    """The shipped folds have torsion Z/2 at most, where adding and taking
+    off a torsion offset agree; a fold-shaped A1 whose simple root has
+    torsion 1 in Z/3 tells them apart."""
+    co = CoinvariantLattice(2, [(0, 3)])
+    assert co.torsion == (3,) and co.free_rank == 1
+    a1 = BasedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (0,))
+    fd = FoldedDatum(None, co, a1, (), ((1,),), (3,), False)
+    for top in range(5):
+        for t in range(3):
+            cls = co.make((top,), (t,))
+            full = full_character_with_torsion(fd, cls)
+            assert hw.character_with_torsion(fd, cls) == full, cls
+            assert hw.character_dimension(fd, cls) == top + 1
+    # a step down by alpha takes its torsion 1 off the class: 0, then 2, then 1
+    assert hw.character_with_torsion(fd, co.make((2,), (0,))).entries == {
+        co.make((2,), (0,)): 1, co.make((0,), (2,)): 1, co.make((-2,), (1,)): 1}
+
+
+@st.composite
+def augmented(draw):
+    """Integer rows with 1-4 reduction columns and 0-3 extra columns; a
+    combination of the rows is appended half the time (rank-deficient),
+    and small entries make zero rows and columns common."""
+    n = draw(st.integers(1, 4))
+    width = n + draw(st.integers(0, 3))
+    entry = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        c = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(width)])
+    return [r[:n] for r in rows], [r[n:] for r in rows], n
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(augmented())
+def test_integer_reduction_matches_the_fraction_reduction(case):
+    rows, extra, n = case
+    red, pivots = _reduce(rows, extra, n)
+    expected, expected_pivots = fraction_reduce(rows, extra, n)
+    assert pivots == expected_pivots
+    assert all(type(x) is int for row in red for x in row)
+    for i, (got, want) in enumerate(zip(red, expected)):
+        if i < len(pivots):
+            p = got[pivots[i]]
+            assert [Fraction(x, p) for x in got] == want, case
+        else:
+            # a row off the pivots is fixed only up to scale
+            assert all(x * b == y * a for x, a in zip(got, want)
+                       for y, b in zip(got, want)), case
+            assert [x == 0 for x in got] == [x == 0 for x in want], case
+    # the rows as the columns of a left inverse: the same (N, d)
+    assert integer_left_inverse(rows) == fraction_left_inverse(rows), case
+
+
+CHILD = """
+import contextlib, io, json, sys
+import affweyl.cli
+after_import = [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
+with open(sys.argv[1]) as f:
+    pool = json.load(f)["branch"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = {affweyl.cli.main(list(e["argv"])) for e in pool}
+after_pool = [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
+print(json.dumps([after_import, sorted(codes), after_pool]))
+"""
+
+
+def test_cli_and_branch_pool_run_without_fractions():
+    """A fresh interpreter (no site hooks) imports the CLI and runs every
+    branch/char pool command without loading fractions, decimal or
+    numbers."""
+    r = subprocess.run([sys.executable, "-S", "-c", CHILD, POOL],
+                       capture_output=True, text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[], [0], []]

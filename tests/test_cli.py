@@ -102,6 +102,14 @@ def test_exit_codes():
     assert run("adm", "--preset", "a1-sc").returncode == 1  # missing --mu
 
 
+def test_unknown_facet_letter_is_a_named_facet_error():
+    r = run("adm", "--preset", "a1-sc", "--facet", "5", "--mu", "1")
+    assert r.returncode == 2
+    assert r.stderr == ("error[facets.unknown_letter]: facet letter 5 names no "
+                        "simple affine reflection (they are [0, 1])\n")
+    assert r.stdout == ""
+
+
 def test_selftest_exits_zero():
     r = run("selftest")
     assert r.returncode == 0, r.stdout + r.stderr
