@@ -12,8 +12,8 @@ from .facets import (AdmissibleSet, Facet, admissible_set, enumerate_facets,
 from .highest_weight import (DominanceOrder, WeightMultiset,
                              character_with_torsion, extend_by_component_twist,
                              freudenthal, highest_weight_table,
-                             irreducible_character, restrict_to_fixed_group,
-                             weyl_dimension)
+                             irreducible_character, kostant_multiplicity,
+                             restrict_to_fixed_group, weyl_dimension)
 from .presets import list_presets, load_action, load_datum, load_group
 
 __version__ = "0.1.0"

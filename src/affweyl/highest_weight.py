@@ -11,8 +11,10 @@ original cocharacter lattice).  The pipeline is:
   G = sum of cv cv^T over the coroots, every norm is taken on doubled
   weights, q(2mu + 2rho) = (2mu + 2rho)^T G (2mu + 2rho), so that rho =
   two_rho / 2 never leaves Z; the multiplicity of mu is then
-  8 acc / (q(2lam + 2rho) - q(2mu + 2rho)), checked to be exact;
-  ``weyl_dimension`` (Weyl's dimension formula) is independent of it;
+  8 acc / (q(2lam + 2rho) - q(2mu + 2rho)), checked to be exact.
+  ``kostant_multiplicity`` (Kostant's alternating sum) and
+  ``weyl_dimension`` (Weyl's dimension formula) are independent oracles
+  for it;
 * the dominance order on the character-side coinvariants, with the
   projected simple roots as cone generators; coefficients in the simple
   roots come from the folded datum's integer left inverse of its simple
@@ -217,6 +219,48 @@ def weyl_dimension(datum, lam):
     if rem:
         raise PeelingError("Weyl dimension formula produced a non-integer")
     return q
+
+
+def kostant_multiplicity(datum, lam, mu):
+    """Weight multiplicity by Kostant's alternating sum (test oracle)."""
+    positives = datum.positive_roots
+    memo = {}
+
+    def partitions(v, idx):
+        v = tuple(v)
+        if all(x == 0 for x in v):
+            return 1
+        if idx == len(positives):
+            return 0
+        key = (v, idx)
+        if key in memo:
+            return memo[key]
+        total = partitions(v, idx + 1)
+        shifted = vec_sub(v, positives[idx])
+        # only finitely many subtractions can stay in the positive cone
+        if _in_root_cone(datum, shifted):
+            total += partitions(shifted, idx)
+        memo[key] = total
+        return total
+
+    rho = datum.two_rho  # doubled; scale the whole identity by 2
+    total = 0
+    for w in datum.weyl.elements:
+        arg2 = vec_sub(vec_add(w.apply_char(tuple(2 * x for x in lam)),
+                               w.apply_char(rho)),
+                       vec_add(tuple(2 * x for x in mu), rho))
+        if any(x % 2 for x in arg2):
+            continue
+        arg = tuple(x // 2 for x in arg2)
+        if not _in_root_cone(datum, arg):
+            continue
+        total += (-1) ** w.length * partitions(arg, 0)
+    return total
+
+
+def _in_root_cone(datum, v):
+    coords = datum._root_coordinates(v)
+    return coords is not None and all(x >= 0 for x in coords)
 
 
 # -- dominance order on coinvariants ---------------------------------------------

@@ -10,7 +10,7 @@ from math import lcm
 
 from affweyl import highest_weight as hw
 from affweyl.errors import InternalInvariantError, PeelingError
-from affweyl.linalg import dot, identity, vec_add, vec_sub
+from affweyl.linalg import dot, identity
 from affweyl.root_data import closure
 from affweyl.smith import smith_normal_form
 
@@ -126,49 +126,6 @@ def invariant_factors(a):
 
 
 # -- highest weights, exact row reduction and branching ---------------------------
-
-
-def kostant_multiplicity(datum, lam, mu):
-    """Weight multiplicity by Kostant's alternating sum, independent of
-    Freudenthal's recursion."""
-    positives = datum.positive_roots
-    memo = {}
-
-    def partitions(v, idx):
-        v = tuple(v)
-        if all(x == 0 for x in v):
-            return 1
-        if idx == len(positives):
-            return 0
-        key = (v, idx)
-        if key in memo:
-            return memo[key]
-        total = partitions(v, idx + 1)
-        shifted = vec_sub(v, positives[idx])
-        # only finitely many subtractions can stay in the positive cone
-        if _in_root_cone(datum, shifted):
-            total += partitions(shifted, idx)
-        memo[key] = total
-        return total
-
-    rho = datum.two_rho  # doubled; scale the whole identity by 2
-    total = 0
-    for w in datum.weyl.elements:
-        arg2 = vec_sub(vec_add(w.apply_char(tuple(2 * x for x in lam)),
-                               w.apply_char(rho)),
-                       vec_add(tuple(2 * x for x in mu), rho))
-        if any(x % 2 for x in arg2):
-            continue
-        arg = tuple(x // 2 for x in arg2)
-        if not _in_root_cone(datum, arg):
-            continue
-        total += (-1) ** w.length * partitions(arg, 0)
-    return total
-
-
-def _in_root_cone(datum, v):
-    coords = datum._root_coordinates(v)
-    return coords is not None and all(x >= 0 for x in coords)
 
 
 def fraction_reduce(rows, extra, n):

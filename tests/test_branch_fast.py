@@ -15,7 +15,6 @@ from affweyl import highest_weight as hw
 from affweyl.folding import fold, trivial_action
 from affweyl.linalg import dot, integer_left_inverse, mat_vec, solve_rational
 from affweyl.presets import list_presets, load_action, load_datum
-from oracles import kostant_multiplicity
 from test_branch_closure import enumerated_dominant_weights_below
 
 SAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
@@ -115,7 +114,7 @@ def test_integer_freudenthal_at_the_largest_weight(name, box):
 def test_integer_freudenthal_spot_checks_against_kostant(name, lam):
     datum = load_datum(name)
     for mu, m in hw.freudenthal(datum, lam).items():
-        assert m == kostant_multiplicity(datum, lam, mu), (lam, mu)
+        assert m == hw.kostant_multiplicity(datum, lam, mu), (lam, mu)
 
 
 # -- one coefficient solve per fold ----------------------------------------------
