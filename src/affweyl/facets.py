@@ -27,7 +27,8 @@ from itertools import combinations, product as iproduct, takewhile
 
 from .errors import (CapExceededError, FacetError, InfiniteGroupError,
                      InternalInvariantError)
-from .linalg import dot, nullspace_rational, primitive_covector, solve_rational
+from .linalg import (dot, integer_left_inverse, mat_transpose, primitive_covector,
+                     scaled_coordinates)
 from .root_data import closure
 
 
@@ -76,24 +77,24 @@ class Facet:
         return tuple(out)
 
     @cached_property
+    def walls(self):
+        """The simple affine reflections in J, in letter order."""
+        return [s for s in self.group.simple_affine if s.index in self.letters]
+
+    @cached_property
     def hull_point(self):
-        """A rational point on the affine hull of the facet."""
-        g = self.group
-        f = g.coinv.free_rank
-        rows, rhs = [], []
-        for j in self.letters:
-            aff = next(x for x in g.simple_affine if x.index == j)
-            rows.append(list(aff.family.covector))
-            rhs.append(aff.level)
-        if not rows:
-            return tuple([0] * f)
-        vstar = solve_rational(rows, rhs)
-        if vstar is None:
+        """A point v / d on the affine hull of the facet, as (v, d)."""
+        if not self.walls:
+            return (0,) * self.group.coinv.free_rank, 1
+        columns = mat_transpose([s.family.covector for s in self.walls])
+        sol = scaled_coordinates(columns, integer_left_inverse(columns),
+                                 [s.level for s in self.walls])
+        if sol is None:
             raise InternalInvariantError("facet equations are inconsistent")
-        return vstar
+        return sol
 
     def restricted_roots(self):
-        """(R_J, R_J^+) as lists of rational covectors.
+        """(R_J, R_J^+) as lists of integer covectors.
 
         Positivity is oriented at the facet: a root of R_J is positive when
         the base alcove lies on its negative side along the wall through the
@@ -110,10 +111,10 @@ class Facet:
         return all_, pos
 
     def _alcove_side_vector(self):
-        from fractions import Fraction
+        """A positive integer multiple of p0 - hull_point."""
         g = self.group
-        p0 = tuple(Fraction(x, g.p0_den) for x in g.p0_num)
-        return tuple(a - b for a, b in zip(p0, self.hull_point))
+        v, d = self.hull_point
+        return tuple(a * d - b * g.p0_den for a, b in zip(g.p0_num, v))
 
     def is_special(self):
         """W_{0,J} = W_0, cross-checked against the parallel-wall test."""
@@ -126,20 +127,14 @@ class Facet:
         return by_subgroup
 
     def _special_by_parallel_walls(self):
-        """Every wall direction admits a parallel wall containing the facet."""
-        g = self.group
-        f = g.coinv.free_rank
-        rows = [list(next(x for x in g.simple_affine if x.index == j).family.covector)
-                for j in self.letters]
-        vstar = self.hull_point
-        direction_space = nullspace_rational(rows, f)
-        for fam in g.families:
-            if any(dot(fam.covector, b) != 0 for b in direction_space):
-                return False
-            val = dot(fam.covector, vstar)
-            if val.denominator != 1:
-                return False
-        return True
+        """Every wall direction admits a parallel wall containing the facet:
+        its covector c lies in the span of the facet's wall covectors, and
+        c takes an integer value on the facet's hull."""
+        rows = [s.family.covector for s in self.walls]
+        inverse = integer_left_inverse(rows)
+        v, d = self.hull_point
+        return all(scaled_coordinates(rows, inverse, fam.covector) is not None
+                   and dot(fam.covector, v) % d == 0 for fam in self.group.families)
 
     def facet_dominant_rep(self, cls):
         """The unique W_{0,J}-orbit member pairing >= 0 with all of R_J^+."""

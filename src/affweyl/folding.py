@@ -279,22 +279,6 @@ def invariant_pairing(action, cls, chi):
     return val
 
 
-def average_lift(action, cls):
-    """The invariant rational representative of a cocharacter coinvariant
-    class."""
-    from fractions import Fraction
-    mats = action.cochar_elements
-    rep = cls.lattice.lift(cls)
-    n = len(rep)
-    acc = [Fraction(0)] * n
-    for g in mats:
-        img = mat_vec(g, rep)
-        for i in range(n):
-            acc[i] += img[i]
-    order = len(mats)
-    return tuple(x / order for x in acc)
-
-
 class FoldedDatum:
     """Based root datum of the neutral fixed-point group.
 

@@ -100,7 +100,7 @@ def dominant_weights_below(datum, lam):
     out = closure([lam], lambda mu: (
         nu for nu in (vec_sub(mu, a) for a in datum.positive_roots)
         if datum.is_dominant_char(nu)))
-    out.sort(key=lambda mu: datum._root_coordinates(vec_sub(lam, mu)))
+    out.sort(key=lambda mu: datum._root_coordinates(vec_sub(lam, mu))[0])
     return out
 
 
@@ -259,8 +259,8 @@ def kostant_multiplicity(datum, lam, mu):
 
 
 def _in_root_cone(datum, v):
-    coords = datum._root_coordinates(v)
-    return coords is not None and all(x >= 0 for x in coords)
+    sol = datum._root_coordinates(v)
+    return sol is not None and all(x >= 0 for x in sol[0])
 
 
 # -- dominance order on coinvariants ---------------------------------------------
@@ -282,22 +282,17 @@ class DominanceOrder:
         the projected simple roots (exact integer feasibility)."""
         diff = mu - lam
         coeffs = self._coefficients(diff.free)
-        if coeffs is None or any(c < 0 or c.denominator != 1 for c in coeffs):
+        if coeffs is None or any(c < 0 for c in coeffs):
             return False
         return _torsion_offset(self.folded, coeffs) == diff.torsion
 
     def _coefficients(self, free_vec):
-        """Coefficients of free_vec in the projected simple roots, as
-        ``solve_rational`` gives them (ints when integral), or None when
-        free_vec is outside their span."""
-        scaled = self.folded.datum._root_coordinates(free_vec)
-        if scaled is None:
+        """The integer coefficients of free_vec in the projected simple
+        roots, or None when free_vec is not an integer combination of them."""
+        sol = self.folded.datum._root_coordinates(free_vec)
+        if sol is None or any(x % sol[1] for x in sol[0]):
             return None
-        den = self.folded.datum.simple_root_inverse[1]
-        if all(x % den == 0 for x in scaled):
-            return tuple(x // den for x in scaled)
-        from fractions import Fraction
-        return tuple(Fraction(x, den) for x in scaled)
+        return tuple(x // sol[1] for x in sol[0])
 
 
 # -- disconnected groups: torsion lifting ------------------------------------------
@@ -308,7 +303,7 @@ def _torsion_offset(folded, coeffs):
     acc = [0] * len(co.torsion)
     for c, tors in zip(coeffs, folded.simple_torsion):
         for i, t in enumerate(tors):
-            acc[i] += int(c) * t
+            acc[i] += c * t
     return tuple(a % d for a, d in zip(acc, co.torsion))
 
 
@@ -333,7 +328,7 @@ def extend_by_component_twist(char, mu_cls, folded):
     out = WeightMultiset()
     for w, m in char.entries.items():
         coeffs = order._coefficients(vec_sub(mu_cls.free, w))
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+        if coeffs is None:
             raise PeelingError("inconsistent torsion offset: weight does not "
                                "differ from the highest weight by roots")
         off = _torsion_offset(folded, coeffs)

@@ -13,13 +13,17 @@ formulas come out with the signs used throughout.
 
 Wall data
 ---------
-Hyperplane families are stored as integer covectors c with walls
-{v : c(v) in Z}; a declared table entry (direction a, stride s) is
-normalized to c = a/s.  Split groups get one family per positive root with
-stride 1.  For twisted groups the strides are standard declared data; they
-are validated against lattice preservation, Weyl symmetry of the
-arrangement, and integrality of the wall reflections, so a wrong table
-fails at construction time rather than corrupting lengths.
+Every vector is exact in integers: a point of V is an integer vector over a
+positive denominator (the base point is p0_num / p0_den), and a relative
+root is the integer covector of a root on the orbit sums of lifts of the
+free basis classes (|Gamma| times the invariant lift).  Hyperplane families
+are stored as integer covectors c with walls {v : c(v) in Z}; a declared
+table entry (direction a, stride s > 0) is normalized to c = a/s.  Split
+groups get one family per positive root with stride 1.  For twisted groups
+the strides are standard declared data; they are validated against
+lattice preservation, Weyl symmetry of the arrangement, and integrality of
+the wall reflections, so a wrong table fails at construction time rather
+than corrupting lengths.
 
 No value changes after construction: a group's tables and walls, an
 element's class and finite part, a class's coordinates.  Only caches change
@@ -37,14 +41,13 @@ lift or projection.
 """
 
 from itertools import product as iproduct
-from math import gcd, lcm
+from math import gcd
 
 from .errors import EchelonnageError, ElementParseError, InternalInvariantError
-from .folding import (CoinvariantLattice, average_lift, coinvariants,
-                      invariant_pairing)
-from .linalg import (dot, identity, mat_mul, mat_transpose, mat_vec,
-                     primitive_covector, solve_rational, vec_add, vec_scale,
-                     vec_sub)
+from .folding import CoinvariantLattice, coinvariants, invariant_pairing
+from .linalg import (dot, identity, integer_left_inverse, mat_mul, mat_transpose,
+                     mat_vec, primitive_covector, scaled_coordinates, vec_add,
+                     vec_scale, vec_sub)
 from .root_data import FiniteReflectionGroup, closure
 
 
@@ -241,15 +244,21 @@ class IwahoriWeylGroup:
 
     def _build_relative_roots(self):
         datum = self.datum
-        action = self.action
         co = self.coinv
         f = co.free_rank
-        basis = [co.make(tuple(1 if i == k else 0 for i in range(f)),
-                         (0,) * len(co.torsion)) for k in range(f)]
-        realized = [average_lift(action, b) for b in basis]
+        # each free basis class is realized by the orbit sum of a lift:
+        # |Gamma| times its invariant (average) representative, in integers
+        realized = []
+        for k in range(f):
+            rep = co.lift(co.make(tuple(int(i == k) for i in range(f)),
+                                  (0,) * len(co.torsion)))
+            images = [mat_vec(g, rep) for g in self.action.cochar_elements]
+            realized.append(tuple(map(sum, zip(*images))))
         positive = set(datum.positive_indices)
         seen = {}
-        self.rel_roots = []  # (covector of Fractions, positive)
+        # (integer covector on the realized basis, positive): the direction,
+        # sign and equalities of the covector on the invariant lifts
+        self.rel_roots = []
         for idx, r in enumerate(datum.roots):
             cov = tuple(dot(real, r) for real in realized)
             pos = idx in positive
@@ -285,7 +294,7 @@ class IwahoriWeylGroup:
         self.line_ids = {}
         for line_id, prim in enumerate(self.line_primitives):
             self.line_ids[prim] = self.line_ids[tuple(-x for x in prim)] = line_id
-        self.w0 = RelWeylGroup(action, co, self.line_primitives, self.n_simple_lines)
+        self.w0 = RelWeylGroup(self.action, co, self.line_primitives, self.n_simple_lines)
 
     def _kottwitz_of_class(self, cls):
         return self.pi1.project(self.coinv.lift(cls))
@@ -304,12 +313,11 @@ class IwahoriWeylGroup:
                 if prim in seen_lines:
                     continue
                 seen_lines.add(prim)
-                icov = tuple(int(x) for x in cov)
-                if icov != tuple(cov):
-                    raise InternalInvariantError("split covector is not integral")
-                wall_table.append((icov, 1))
+                wall_table.append((cov, 1))
         assigned = {}
         for cov, stride in wall_table:
+            if stride <= 0:
+                raise EchelonnageError(f"wall stride must be positive, got {stride}")
             prim = primitive_covector(cov)
             line_id = self.line_ids.get(prim)
             if line_id is None or self.line_primitives[line_id] != prim:
@@ -382,22 +390,21 @@ class IwahoriWeylGroup:
             self.p0_num = (0,) * f
             self.p0_den = 1
             return
-        rows = []
-        rhs = []
-        for i in range(self.n_simple_lines):
-            rows.append(list(self.families[i].covector))
-            rhs.append(1)
-        rho = solve_rational(rows, rhs)
-        if rho is None:
+        # rho = r / d solves c(rho) = 1 on the simple lines, every c(r) must
+        # be positive, and p0 = -rho / (2 max c(rho)) = -r / (2 max c(r))
+        columns = mat_transpose([fam.covector for fam in self.families[:self.n_simple_lines]])
+        sol = scaled_coordinates(columns, integer_left_inverse(columns),
+                                 (1,) * self.n_simple_lines)
+        if sol is None:
             raise InternalInvariantError("no regular direction for the base alcove")
-        vals = [dot(fam.covector, rho) for fam in self.families]
+        r = sol[0]
+        vals = [dot(fam.covector, r) for fam in self.families]
         if any(v <= 0 for v in vals):
             raise InternalInvariantError("base direction is not regular dominant")
-        k = max(vals)
-        p0 = tuple(-x / (2 * k) for x in rho)
-        den = lcm(*(x.denominator for x in p0))
-        self.p0_num = tuple(int(x * den) for x in p0)
-        self.p0_den = den
+        den = 2 * max(vals)
+        g = gcd(den, *r)
+        self.p0_num = tuple(-x // g for x in r)
+        self.p0_den = den // g
         for fam in self.families:
             v = dot(fam.covector, self.p0_num)
             if v % self.p0_den == 0 or not (-self.p0_den < v < 0):

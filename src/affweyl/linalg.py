@@ -1,8 +1,8 @@
-"""Small exact linear algebra helpers over Z and Q.
+"""Small exact linear algebra helpers over Z.
 
-Everything here works on tuples of Python ints or Fractions, so results are
-exact by construction.  Matrices are tuples of rows.  Only the functions
-that return rationals import ``fractions``.
+Everything here works on tuples of Python ints, so results are exact by
+construction.  Matrices are tuples of rows.  A rational vector is an
+integer vector N over a positive denominator d, standing for N / d.
 """
 
 from itertools import zip_longest
@@ -84,49 +84,13 @@ def mat_inverse_int(m):
     return tuple(tuple(x // row[i] for x in row[n:]) for i, row in enumerate(red))
 
 
-def solve_rational(rows, rhs):
-    """One particular solution of rows * x = rhs over Q, or None.
-
-    ``rows`` is a sequence of covectors; free variables are set to 0.
-    """
-    from fractions import Fraction
-    if not rows:
-        return ()
-    n = len(rows[0])
-    red, pivots = _reduce(rows, [(b,) for b in rhs], n)
-    if any(row[n] for row in red[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, col in zip(red, pivots):
-        x[col] = Fraction(row[n], row[col])
-    return tuple(x)
-
-
-def nullspace_rational(rows, n):
-    """Basis (tuple of vectors) of the right nullspace of the given covectors."""
-    from fractions import Fraction
-    red, pivots = _reduce(rows, (), n)
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, col in zip(red, pivots):
-            v[col] = Fraction(-row[fc], row[col])
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def integer_left_inverse(columns):
-    """(N, d) with N integer such that N v / d is the solution
-    ``solve_rational`` returns for A x = v, A having the given columns,
-    whenever v lies in their span.
+    """(N, d) with N integer such that N v / d solves A x = v, A having the
+    given columns, whenever v lies in their span; a free variable is 0.
 
     One reduction of A | 1 gives the transform T with T A in reduced form:
     the row of N for the i-th pivot column is the i-th row of T, a column
-    off the pivots gets a zero row (a free variable of ``solve_rational``
-    is set to 0), and d is the least common denominator.
+    off the pivots gets a zero row, and d is the least common denominator.
     """
     m = len(columns)
     ambient = len(columns[0]) if columns else 0
@@ -140,10 +104,22 @@ def integer_left_inverse(columns):
     return num, den
 
 
-def primitive_covector(v):
-    """Scale a rational covector to a primitive integer one, preserving sign."""
-    mult = lcm(*(x.denominator for x in v))
-    ints = [int(x * mult) for x in v]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
+def scaled_coordinates(columns, inverse, v):
+    """Solve A x = v, A having the given columns, as (N v, d) for
+    ``inverse`` = (N, d) = ``integer_left_inverse(columns)``: N v / d are
+    the coefficients of v in the columns.  None when v lies outside their
+    span."""
+    num, den = inverse
+    scaled = mat_vec(num, v)
+    combo = [0] * len(v)
+    for x, col in zip(scaled, columns):
+        combo = [a + x * b for a, b in zip(combo, col)]
+    if any(a != den * b for a, b in zip(combo, v)):
+        return None
+    return scaled, den
 
+
+def primitive_covector(v):
+    """An integer covector divided by the gcd of its entries (sign kept)."""
+    g = gcd(*v) or 1
+    return tuple(x // g for x in v)

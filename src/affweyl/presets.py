@@ -144,6 +144,7 @@ def _action_matrix(datum, decl, where):
 
 
 def _parse_group_file(path):
+    # a stride is the one rational a preset carries: only .group files load it
     from fractions import Fraction
     name = os.path.splitext(os.path.basename(path))[0]
     base = None

@@ -16,7 +16,8 @@ outputs are deterministic.
 from functools import cached_property
 
 from .errors import RootDatumError
-from .linalg import dot, identity, integer_left_inverse, mat_mul, mat_vec
+from .linalg import (dot, identity, integer_left_inverse, mat_mul, mat_vec,
+                     scaled_coordinates)
 
 
 def reflection_matrices(root, coroot, rank):
@@ -34,20 +35,6 @@ def reflection_matrices(root, coroot, rank):
         for i in range(rank)
     )
     return char, cochar
-
-
-def _scaled_coordinates(columns, inverse, v):
-    """N v for ``inverse`` = (N, d) = ``integer_left_inverse(columns)``, or
-    None when v lies outside the span of the columns; N v / d are then the
-    coefficients of v in the columns."""
-    num, den = inverse
-    scaled = mat_vec(num, v)
-    combo = [0] * len(v)
-    for x, col in zip(scaled, columns):
-        combo = [a + x * b for a, b in zip(combo, col)]
-    if any(a != den * b for a, b in zip(combo, v)):
-        return None
-    return scaled
 
 
 class BasedRootDatum:
@@ -100,9 +87,9 @@ class BasedRootDatum:
         return integer_left_inverse(self.simple_coroots)
 
     def _root_coordinates(self, v):
-        """d times the coefficients of v in the simple roots, or None when v
-        lies outside their span."""
-        return _scaled_coordinates(self.simple_roots, self.simple_root_inverse, v)
+        """(N v, d): N v / d are the coefficients of v in the simple roots;
+        None when v lies outside their span."""
+        return scaled_coordinates(self.simple_roots, self.simple_root_inverse, v)
 
     @cached_property
     def positive_indices(self):
@@ -110,12 +97,12 @@ class BasedRootDatum:
             raise RootDatumError("roots present but no simple roots")
         pos = []
         for i, r in enumerate(self.roots):
-            c = self._root_coordinates(r)
-            if c is None:
+            sol = self._root_coordinates(r)
+            if sol is None:
                 raise RootDatumError("root outside the span of the simple roots")
-            if all(x >= 0 for x in c):
+            if all(x >= 0 for x in sol[0]):
                 pos.append(i)
-            elif not all(x <= 0 for x in c):
+            elif not all(x <= 0 for x in sol[0]):
                 raise RootDatumError("root is neither positive nor negative")
         return tuple(pos)
 
@@ -180,9 +167,9 @@ class BasedRootDatum:
                     raise RootDatumError("coroot bijection not reflection-equivariant")
         # positivity preserved by the coroot bijection
         for i in self.positive_indices:
-            c = _scaled_coordinates(self.simple_coroots, self.simple_coroot_inverse,
-                                    self.coroots[i])
-            if c is None or not all(x >= 0 for x in c):
+            sol = scaled_coordinates(self.simple_coroots, self.simple_coroot_inverse,
+                                     self.coroots[i])
+            if sol is None or not all(x >= 0 for x in sol[0]):
                 raise RootDatumError("coroot bijection does not preserve positivity")
         if not set(self.simples) <= set(self.positive_indices):
             raise RootDatumError("simple root is not positive")

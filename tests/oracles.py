@@ -10,7 +10,7 @@ from math import lcm
 
 from affweyl import highest_weight as hw
 from affweyl.errors import InternalInvariantError, PeelingError
-from affweyl.linalg import dot, identity
+from affweyl.linalg import dot, identity, mat_vec
 from affweyl.root_data import closure
 from affweyl.smith import smith_normal_form
 
@@ -160,6 +160,49 @@ def fraction_left_inverse(columns):
     den = lcm(*(x.denominator for row in rows.values() for x in row))
     return tuple(tuple(int(x * den) for x in rows[j]) if j in rows
                  else (0,) * ambient for j in range(m)), den
+
+
+def solve_rational(rows, rhs):
+    """One particular solution of rows * x = rhs over Q, read off
+    ``fraction_reduce`` (free variables 0), or None."""
+    if not rows:
+        return ()
+    n = len(rows[0])
+    red, pivots = fraction_reduce(rows, [(b,) for b in rhs], n)
+    if any(row[n] for row in red[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in zip(red, pivots):
+        x[col] = row[n]
+    return tuple(x)
+
+
+def nullspace_rational(rows, n):
+    """Basis of the right nullspace of the given covectors, one vector per
+    free column of ``fraction_reduce``."""
+    red, pivots = fraction_reduce(rows, (), n)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row, col in zip(red, pivots):
+            v[col] = -row[fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def average_lift(action, cls):
+    """The invariant rational representative of a cocharacter coinvariant
+    class: the average of a lift over the action."""
+    mats = action.cochar_elements
+    rep = cls.lattice.lift(cls)
+    acc = [Fraction(0)] * len(rep)
+    for g in mats:
+        for i, x in enumerate(mat_vec(g, rep)):
+            acc[i] += x
+    return tuple(x / len(mats) for x in acc)
 
 
 def full_character_with_torsion(folded, mu_cls):

@@ -127,21 +127,31 @@ def test_integer_reduction_matches_the_fraction_reduction(case):
 CHILD = """
 import contextlib, io, json, sys
 import affweyl.cli
-after_import = [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
+def loaded():
+    return [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
+out = [loaded()]
+codes = set()
 with open(sys.argv[1]) as f:
-    pool = json.load(f)["branch"]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = {affweyl.cli.main(list(e["argv"])) for e in pool}
-after_pool = [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
-print(json.dumps([after_import, sorted(codes), after_pool]))
+    pool = json.load(f)
+runs = (pool["branch"], pool["adm"],
+        [{"argv": ["report", "--preset", "d3", "--format", "json"]}])
+for entries in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes |= {affweyl.cli.main(list(e["argv"])) for e in entries}
+    out.append(loaded())
+print(json.dumps([sorted(codes)] + out))
 """
 
 
 def test_cli_and_branch_pool_run_without_fractions():
-    """A fresh interpreter (no site hooks) imports the CLI and runs every
-    branch/char pool command without loading fractions, decimal or
-    numbers."""
+    """A fresh interpreter (no site hooks) imports the CLI, then runs every
+    branch/char pool command, every adm pool command (a3-sc, d3) and
+    ``report --preset d3`` without loading fractions, decimal or numbers:
+    rationals are integer vectors over a denominator, and only a folded
+    group's stride text is parsed as a Fraction."""
     r = subprocess.run([sys.executable, "-S", "-c", CHILD, POOL],
                        capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout) == [[], [0], []]
+    # exit codes, then the modules loaded after the import, the branch
+    # pool, the adm pool and the report
+    assert json.loads(r.stdout) == [[0], [], [], [], []]

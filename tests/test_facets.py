@@ -1,12 +1,17 @@
-"""Facets, speciality, restricted roots and admissible sets."""
+"""Facets, speciality, restricted roots and admissible sets, and the
+integer apartment against the Fraction routes it replaces."""
 
 import pytest
+from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
 from affweyl import facets as fc
 from affweyl.errors import CapExceededError, InfiniteGroupError
 from affweyl.linalg import dot, primitive_covector
-from oracles import double_coset_count, max_double_coset_rep, restricted_lines
+from affweyl.presets import list_presets
+from oracles import (average_lift, double_coset_count, max_double_coset_rep,
+                     nullspace_rational, restricted_lines, solve_rational)
 
 
 def facet_by_letters(group, letters):
@@ -274,3 +279,67 @@ def test_speciality_report(group_of):
             assert row["nonunique_mu"] is not None
         else:
             assert row["special"] and row["parity"] and row["unique_max"]
+
+
+# -- the integer apartment against the Fraction routes -----------------------------
+
+
+def fraction_base_point(group):
+    """p0 = -rho / (2 max c(rho)) with rho from one rational solve on the
+    simple lines, over the least common denominator."""
+    if not group.families:
+        return (0,) * group.coinv.free_rank, 1
+    rows = [list(fam.covector) for fam in group.families[:group.n_simple_lines]]
+    rho = solve_rational(rows, [1] * len(rows))
+    k = max(dot(fam.covector, rho) for fam in group.families)
+    p0 = [-x / (2 * k) for x in rho]
+    den = lcm(*(x.denominator for x in p0))
+    return tuple(int(x * den) for x in p0), den
+
+
+def fraction_relative_roots(group):
+    """(covector, positive) per relative root, the covectors taken on the
+    average lifts of the free basis classes."""
+    co = group.coinv
+    f = co.free_rank
+    realized = [average_lift(group.action, co.make(
+        tuple(int(i == k) for i in range(f)), (0,) * len(co.torsion))) for k in range(f)]
+    out = {}
+    for idx, r in enumerate(group.datum.roots):
+        cov = tuple(dot(real, r) for real in realized)
+        out.setdefault(cov, idx in group.datum.positive_indices)
+    return list(out.items())
+
+
+def fraction_hull_point(facet):
+    """One rational solve of the facet's wall equations (the origin for the
+    alcove, which has no walls)."""
+    rows = [list(s.family.covector) for s in facet.walls]
+    if not rows:
+        return (0,) * facet.group.coinv.free_rank
+    return solve_rational(rows, [s.level for s in facet.walls])
+
+
+def fraction_special_by_parallel_walls(facet):
+    """Every wall covector annihilates the facet's direction space (a
+    rational nullspace) and is integral on its rational hull point."""
+    rows = [list(s.family.covector) for s in facet.walls]
+    hull = fraction_hull_point(facet)
+    directions = nullspace_rational(rows, facet.group.coinv.free_rank)
+    return all(all(dot(fam.covector, b) == 0 for b in directions)
+               and Fraction(dot(fam.covector, hull)).denominator == 1
+               for fam in facet.group.families)
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in list_presets()])
+def test_integer_apartment_matches_the_fraction_routes(group_of, name):
+    group = group_of(name)
+    assert (group.p0_num, group.p0_den) == fraction_base_point(group)
+    order = len(group.action.cochar_elements)
+    assert group.rel_roots == [(tuple(order * x for x in cov), pos)
+                               for cov, pos in fraction_relative_roots(group)]
+    for facet in fc.enumerate_facets(group):
+        v, d = facet.hull_point
+        assert tuple(Fraction(x, d) for x in v) == fraction_hull_point(facet), facet
+        assert facet._special_by_parallel_walls() == \
+            fraction_special_by_parallel_walls(facet), facet

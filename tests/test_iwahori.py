@@ -209,7 +209,8 @@ def test_omega_sizes(group_of):
 def _fraction_reflection(involutions, cov):
     """The rational-kernel route: the involutions fixing a Fraction basis
     of the hyperplane cov = 0."""
-    from affweyl.linalg import mat_vec, nullspace_rational
+    from affweyl.linalg import mat_vec
+    from oracles import nullspace_rational
     kernel = nullspace_rational([cov], len(cov))
     hits = [m for m in involutions if all(mat_vec(m, b) == b for b in kernel)]
     assert len(hits) == 1

@@ -64,6 +64,36 @@ def test_bad_stride_rejected(tmp_path):
         del os.environ["AFFWEYL_PRESET_PATH"]
 
 
+FOLDED_A3_NEGATIVE_STRIDE = ("name negstride\nbase a3-sc\naction swap\n"
+                             "wall -1 1 | -1/2\nwall 1 0 | 1/2\n"
+                             "wall 2 -1 | 1\nwall 0 1 | 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    FOLDED_A3_NEGATIVE_STRIDE,
+    "name negstride\nbase a1-sc\naction trivial\nwall 2 | -1\n",
+])
+def test_negative_stride_rejected(tmp_path, monkeypatch, text):
+    """A negative stride flips its wall's covector: on folded-a3 that used
+    to surface as an internal invariant, on a1-sc it was accepted."""
+    (tmp_path / "negstride.group").write_text(text)
+    monkeypatch.setenv("AFFWEYL_PRESET_PATH", str(tmp_path))
+    with pytest.raises(EchelonnageError, match="stride must be positive"):
+        load_group("negstride")
+
+
+def test_negative_stride_exits_2(tmp_path):
+    (tmp_path / "negstride.group").write_text(FOLDED_A3_NEGATIVE_STRIDE)
+    out = subprocess.run(
+        [sys.executable, "-m", "affweyl", "wgroup", "length",
+         "--preset", "negstride", "--element", "t[1,0]"],
+        capture_output=True, text=True,
+        env=child_env(AFFWEYL_PRESET_PATH=str(tmp_path)))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error[iwahori.table_gap]: ") and \
+        "Traceback" not in out.stderr
+
+
 def test_datum_preset_roundtrip():
     for name in ("a1-sc", "g2", "d3"):
         datum = load_datum(name)
