@@ -114,13 +114,9 @@ def cmd_list_presets(args):
 def cmd_fold(args):
     action = load_action(args.preset, args.action)
     fd = fold_action(action)
-    rows = []
-    for i in range(len(fd.datum.roots)):
-        rows.append({
-            "root": ",".join(map(str, fd.datum.roots[i])),
-            "coroot": ",".join(map(str, fd.datum.coroots[i])),
-            "simple": i in fd.datum.simples,
-        })
+    rows = [{"root": ",".join(map(str, fd.datum.roots[i])),
+             "coroot": ",".join(map(str, fd.datum.coroots[i])),
+             "simple": i in fd.datum.simples} for i in range(len(fd.datum.roots))]
     doc = {
         "schema": SCHEMA,
         "preset": args.preset,
@@ -220,12 +216,10 @@ def cmd_branch(args):
         raise CoordinateCountError(f"lambda needs {datum.rank} coordinates")
     fd = fold_action(action)
     dec = hw.restrict_to_fixed_group(datum, action, lam, fd)
-    rows = []
-    for cls, mult in dec:
-        rows.append({"mu_free": ",".join(map(str, cls.free)),
-                     "mu_torsion": ",".join(map(str, cls.torsion)),
-                     "multiplicity": mult,
-                     "dim": hw.character_dimension(fd, cls)})
+    rows = [{"mu_free": ",".join(map(str, cls.free)),
+             "mu_torsion": ",".join(map(str, cls.torsion)),
+             "multiplicity": mult,
+             "dim": hw.weyl_dimension(fd.datum, cls.free)} for cls, mult in dec]
     doc = {"schema": SCHEMA, "preset": args.preset, "action": args.action,
            "lambda": ",".join(map(str, lam)),
            "dim_total": hw.weyl_dimension(datum, lam), "rows": rows}
@@ -258,71 +252,61 @@ def cmd_selftest(args):
     return run_selftest(verbose=True)
 
 
-def build_parser():
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_PRESET = _arg("--preset", required=True)
+_MU = _arg("--mu", type=_int_list, required=True)
+_CAP = _arg("--cap", type=int, default=64)
+_FORMAT = _arg("--format", choices=["text", "tsv", "json"], default="text")
+
+# name -> (handler, help, arguments), in the order of the top-level help
+COMMANDS = {
+    "list-presets": (cmd_list_presets, "catalog of shipped presets", [_FORMAT]),
+    "fold": (cmd_fold, "folded root datum of a pinned action",
+             [_PRESET, _arg("--action", required=True), _FORMAT]),
+    "wgroup": (cmd_wgroup, "Iwahori-Weyl group operations",
+               [_arg("operation", choices=["length", "word", "leq", "kottwitz"]),
+                _PRESET, _arg("--element", required=True),
+                _arg("--other", help="second element for leq"), _FORMAT]),
+    "adm": (cmd_adm, "admissible set relative to a facet",
+            [_PRESET, _arg("--facet", type=_int_list, default=(),
+                           help="comma-separated S_aff indices"),
+             _MU, _CAP, _FORMAT]),
+    "report": (cmd_report, "facet table of speciality criteria",
+               [_PRESET, _arg("--bound", type=_nonnegative_int, default=None),
+                _CAP, _FORMAT]),
+    "branch": (cmd_branch, "restriction to the fixed-point group",
+               [_PRESET, _arg("--action", required=True),
+                _arg("--lambda", dest="lam", type=_int_list, required=True),
+                _FORMAT]),
+    "char": (cmd_char, "weight multiset of an irreducible",
+             [_PRESET, _arg("--action", default=None), _MU, _FORMAT]),
+    "selftest": (cmd_selftest, "run the invariant battery", [_FORMAT]),
+}
+
+
+def build_parser(command=None):
+    """The ``affweyl`` parser.  A known ``command`` gets only its own
+    subparser; anything else (none, ``--help``, a typo) gets every one, so
+    the top-level help and the invalid-choice error list them all."""
     p = _ArgumentParser(prog="affweyl", description=__doc__,
                         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def addfmt(sp):
-        sp.add_argument("--format", choices=["text", "tsv", "json"],
-                        default="text")
-
-    sp = sub.add_parser("list-presets", help="catalog of shipped presets")
-    addfmt(sp)
-    sp.set_defaults(func=cmd_list_presets)
-
-    sp = sub.add_parser("fold", help="folded root datum of a pinned action")
-    sp.add_argument("--preset", required=True)
-    sp.add_argument("--action", required=True)
-    addfmt(sp)
-    sp.set_defaults(func=cmd_fold)
-
-    sp = sub.add_parser("wgroup", help="Iwahori-Weyl group operations")
-    sp.add_argument("operation", choices=["length", "word", "leq", "kottwitz"])
-    sp.add_argument("--preset", required=True)
-    sp.add_argument("--element", required=True)
-    sp.add_argument("--other", help="second element for leq")
-    addfmt(sp)
-    sp.set_defaults(func=cmd_wgroup)
-
-    sp = sub.add_parser("adm", help="admissible set relative to a facet")
-    sp.add_argument("--preset", required=True)
-    sp.add_argument("--facet", type=_int_list, default=(),
-                    help="comma-separated S_aff indices")
-    sp.add_argument("--mu", type=_int_list, required=True)
-    sp.add_argument("--cap", type=int, default=64)
-    addfmt(sp)
-    sp.set_defaults(func=cmd_adm)
-
-    sp = sub.add_parser("report", help="facet table of speciality criteria")
-    sp.add_argument("--preset", required=True)
-    sp.add_argument("--bound", type=_nonnegative_int, default=None)
-    sp.add_argument("--cap", type=int, default=64)
-    addfmt(sp)
-    sp.set_defaults(func=cmd_report)
-
-    sp = sub.add_parser("branch", help="restriction to the fixed-point group")
-    sp.add_argument("--preset", required=True)
-    sp.add_argument("--action", required=True)
-    sp.add_argument("--lambda", dest="lam", type=_int_list, required=True)
-    addfmt(sp)
-    sp.set_defaults(func=cmd_branch)
-
-    sp = sub.add_parser("char", help="weight multiset of an irreducible")
-    sp.add_argument("--preset", required=True)
-    sp.add_argument("--action", default=None)
-    sp.add_argument("--mu", type=_int_list, required=True)
-    addfmt(sp)
-    sp.set_defaults(func=cmd_char)
-
-    sp = sub.add_parser("selftest", help="run the invariant battery")
-    addfmt(sp)
-    sp.set_defaults(func=cmd_selftest)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        func, help_text, arguments = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.command == "wgroup" and args.operation == "leq" and args.other is None:

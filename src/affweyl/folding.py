@@ -92,7 +92,8 @@ class PinnedAction:
         datum = self.datum
         rootset = set(datum.roots)
         simpleset = {datum.roots[i] for i in datum.simples}
-        if any(len(g) != datum.rank for g in self.generators):
+        # a generator is rank x rank: its row count and each row's length
+        if any(len(row) != datum.rank for g in self.generators for row in (g, *g)):
             raise FoldingError("generator has wrong size")
         try:
             cochar = self.cochar_generators

@@ -14,7 +14,7 @@ original cocharacter lattice).  The pipeline is:
   8 acc / (q(2lam + 2rho) - q(2mu + 2rho)), checked to be exact.
   ``kostant_multiplicity`` (Kostant's alternating sum) and
   ``weyl_dimension`` (Weyl's dimension formula) are independent oracles
-  for it;
+  for it, and the latter gives each constituent's dimension;
 * the dominance order on the character-side coinvariants, with the
   projected simple roots as cone generators; coefficients in the simple
   roots come from the folded datum's integer left inverse of its simple
@@ -374,27 +374,11 @@ def character_with_torsion(folded, mu_cls):
     return out
 
 
-def character_dimension(folded, mu_cls):
-    """Sum of m |W0 nu| over the dominant classes nu (multiplicity m) of
-    the irreducible of highest weight mu_cls; |W0 nu| depends only on the
-    simple coroots vanishing on nu, whose reflections generate its
-    stabilizer."""
-    fd = folded.datum
-    sizes = {}
-    total = 0
-    for cls, m in dominant_character_with_torsion(folded, mu_cls).entries.items():
-        walls = tuple(dot(cv, cls.free) == 0 for cv in fd.simple_coroots)
-        if walls not in sizes:
-            sizes[walls] = len(weyl_orbit_char(fd, cls.free))
-        total += m * sizes[walls]
-    return total
-
-
 def induced_dimension(folded, mu_cls):
     """dim of the induction of the connected irreducible to the full fixed
     group, computed from the component-twist side of the reciprocity
     isomorphism."""
-    return prod(folded.component_group) * character_dimension(folded, mu_cls)
+    return prod(folded.component_group) * weyl_dimension(folded.datum, mu_cls.free)
 
 
 # -- restriction along folding ------------------------------------------------------

@@ -142,9 +142,11 @@ class BasedRootDatum:
             raise RootDatumError("rank zero cannot carry roots")
         if len(self.roots) != len(self.coroots):
             raise RootDatumError("roots and coroots must be indexed alike")
-        for r in self.roots:
+        for r, cv in zip(self.roots, self.coroots):
             if len(r) != n:
                 raise RootDatumError("root of wrong length")
+            if len(cv) != n:
+                raise RootDatumError("coroot of wrong length")
         for i, (r, cv) in enumerate(zip(self.roots, self.coroots)):
             if dot(cv, r) != 2:
                 raise RootDatumError(f"<coroot, root> != 2 at index {i}")
@@ -154,6 +156,9 @@ class BasedRootDatum:
         for i in self.simples:
             if not 0 <= i < len(self.roots):
                 raise RootDatumError("bad simple index")
+        # integer_left_inverse gives a column off the pivots a zero row
+        if not all(map(any, self.simple_root_inverse[0])):
+            raise RootDatumError("simple roots are linearly dependent")
         # reflections permute the root set, and the coroot bijection is
         # equivariant (checked through the simple reflections)
         for i in self.simples:

@@ -36,7 +36,7 @@ def _check_constituents(fd, dec):
         assert hw.dominant_character_with_torsion(fd, cls).entries == {
             w: m for w, m in full.entries.items()
             if fd.datum.is_dominant_char(w.free)}, cls
-        assert hw.character_dimension(fd, cls) == full.dimension(), cls
+        assert hw.weyl_dimension(fd.datum, cls.free) == full.dimension(), cls
 
 
 @pytest.mark.parametrize("name,action", FOLDS)
@@ -81,7 +81,7 @@ def test_orbit_walk_carries_order_three_torsion():
             cls = co.make((top,), (t,))
             full = full_character_with_torsion(fd, cls)
             assert hw.character_with_torsion(fd, cls) == full, cls
-            assert hw.character_dimension(fd, cls) == top + 1
+            assert hw.weyl_dimension(fd.datum, cls.free) == top + 1
     # a step down by alpha takes its torsion 1 off the class: 0, then 2, then 1
     assert hw.character_with_torsion(fd, co.make((2,), (0,))).entries == {
         co.make((2,), (0,)): 1, co.make((0,), (2,)): 1, co.make((-2,), (1,)): 1}

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from affweyl.errors import EchelonnageError, PresetSyntaxError, UnknownPresetError
-from affweyl.presets import list_presets, load_action, load_datum, load_group
+from affweyl.presets import (DATA_DIR, list_presets, load_action, load_datum,
+                             load_group)
 from conftest import child_env
 
 
@@ -128,6 +129,36 @@ def test_malformed_preset_gives_named_error(tmp_path, monkeypatch, capsys,
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error[presets." in err and "Traceback" not in err, (argv, err)
+
+
+with open(os.path.join(DATA_DIR, "a2-sc.datum")) as _f:
+    A2_SC = _f.read()
+SWAP_A2 = ["fold", "--preset", "a2-sc", "--action", "swap"]
+A2_COMMANDS = [SWAP_A2, ["report", "--preset", "a2-sc"],
+               ["wgroup", "length", "--preset", "a2-sc", "--element", "e"]]
+
+
+@pytest.mark.parametrize("old,new,argvs,error", [
+    # a coroot shorter than the rank once reached reflection_matrices
+    ("root   2  -1 | coroot   1   0", "root   2  -1 | coroot   1", A2_COMMANDS,
+     "error[root_datum.invalid]: coroot of wrong length"),
+    ("action swap | perm 1 0", "action swap | matrix 0 1 0 ; 1 0 0", [SWAP_A2],
+     "error[folding.invalid_action]: generator has wrong size"),
+    # a third simple root, the sum of the other two, once reached the
+    # alcove and exited 3
+    ("simples 5 2", "simples 5 2 4", A2_COMMANDS,
+     "error[root_datum.invalid]: simple roots are linearly dependent"),
+])
+def test_inconsistent_datum_gives_named_error(tmp_path, monkeypatch, capsys,
+                                              old, new, argvs, error):
+    from affweyl import cli
+    assert old in A2_SC
+    (tmp_path / "a2-sc.datum").write_text(A2_SC.replace(old, new))
+    monkeypatch.setenv("AFFWEYL_PRESET_PATH", str(tmp_path))
+    for argv in argvs:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == error + "\n", (argv, err)
 
 
 def test_list_presets_skips_bad_files(tmp_path, monkeypatch, capsys):
