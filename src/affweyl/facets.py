@@ -20,6 +20,8 @@ an independent check, and the tests count the maxima by double cosets
 ``speciality_report`` builds each alcove closure, the affine ball and the
 length-zero representatives once and shares them between the facets, and
 keeps one double-coset memo per facet for every mu and the parity pass.
+Its ``iwahori.NeighbourTable`` and deletion memo make each simple-reflection
+neighbour and each element's one-letter deletions once per report.
 """
 
 from functools import cached_property
@@ -27,6 +29,7 @@ from itertools import combinations, product as iproduct, takewhile
 
 from .errors import (CapExceededError, FacetError, InfiniteGroupError,
                      InternalInvariantError)
+from .iwahori import NeighbourTable
 from .linalg import (dot, integer_left_inverse, mat_transpose, primitive_covector,
                      scaled_coordinates)
 from .root_data import closure
@@ -152,7 +155,7 @@ class Facet:
 
 
 def enumerate_facets(group):
-    """All standard facets (subsets of S_aff generating a finite group)."""
+    """All standard facets (subsets J of S_aff, W_J finite), by size, then J."""
     indices = [s.index for s in group.simple_affine]
     out = []
     for r in range(len(indices) + 1):
@@ -161,7 +164,6 @@ def enumerate_facets(group):
                 out.append(Facet(group, combo))
             except InfiniteGroupError:
                 continue
-    out.sort(key=lambda f: (len(f.letters), f.letters))
     return out
 
 
@@ -236,13 +238,14 @@ def _deletions(group, g):
         prefix = simple[k] if prefix is None else prefix * simple[k]
 
 
-def _alcove(group, mu, length_cap):
+def _alcove(group, mu, length_cap, deletions=None):
     """(closure, maxima) of the alcove Adm(mu).
 
     The closure list starts with the translations by the projected orbit
     and then holds their one-letter deletions, breadth first.  Every other
     item lies strictly below a translation (subword property), and the
     translations all have one length, so the maxima are the translations.
+    ``deletions(g)`` may replace ``_deletions(group, g)``, to memoize it.
     """
     lam = _lambda_classes(group, mu)
     tops = [group.translation(c) for c in lam]
@@ -250,7 +253,7 @@ def _alcove(group, mu, length_cap):
         if t.length > length_cap:
             raise CapExceededError(
                 f"translation length {t.length} exceeds cap {length_cap}")
-    adm = closure(tops, lambda g: _deletions(group, g))
+    adm = closure(tops, deletions or (lambda g: _deletions(group, g)))
     _check_one_component(group, adm)
     return adm, list(dict.fromkeys(tops))
 
@@ -283,16 +286,17 @@ def _dc_reps(group, elements, letters, rep_of=None):
     neighbour, which lies in the ideal and was visited first; so ``dc_rep``
     runs only on the minimal element of a double coset, and, with one memo
     kept over several lower ideals, once per double coset over all of them.
+    A torsion twin t (``_torsion_twin``) is central of length zero, so
+    dc_rep(g t) = dc_rep(g) t, and the report projects no twin of a set.
     """
-    simple = [group.simple_affine_element(j) for j in letters]
     rep_of = {} if rep_of is None else rep_of
     for g in sorted(elements, key=lambda g: g.length):
         rep = rep_of.get(g)
         if rep is None:
-            for s in simple:
-                rep = rep_of.get(s * g)
+            for j in letters:
+                rep = rep_of.get(group.left_neighbour(j, g))
                 if rep is None:
-                    rep = rep_of.get(g * s)
+                    rep = rep_of.get(group.right_neighbour(g, j))
                 if rep is not None:
                     break
             if rep is None:
@@ -362,10 +366,23 @@ def parity_check(group, facet, bound):
 def _components(group, bound):
     """Per torsion class of pi1(G)_I, in key order: the affine ball of radius
     ``bound`` times the class's length-zero representative, by (length, key).
-    Each is a Bruhat lower ideal, as the ball is one."""
+    Each is a Bruhat lower ideal, as the ball is one.  The identity's comes
+    first; a torsion twin's is left out, as its check repeats the first one's
+    (the twin is central of length zero: it keeps lengths and ``dc_rep``).
+    """
     ball = sorted(group.affine_ball(bound), key=lambda g: (g.length, g.key()))
     omegas = group.omega_torsion_representatives()
-    return [[w * om for w in ball] for _, om in sorted(omegas.items())]
+    return [ball if om.is_identity() else [w * om for w in ball]
+            for _, om in sorted(omegas.items())
+            if om.is_identity() or not _torsion_twin(group, om)]
+
+
+def _torsion_twin(group, t):
+    """Whether t is a translation by a torsion class that commutes with
+    every simple affine reflection.  Such a t has length zero, so it lies in
+    the abelian Omega = pi1(G)_I and is central in W."""
+    return t.w.is_identity() and not any(t.cls.free) and all(
+        s.element * t == t * s.element for s in group.simple_affine)
 
 
 def _parity(group, facet, components, rep_of):
@@ -389,7 +406,6 @@ def default_mu_sample(group, pairing_bound=10):
     box = range(-pairing_bound, pairing_bound + 1)
     torsion_choices = [range(d) for d in co.torsion]
     out = []
-    seen = set()
     regular = None
     for free in iproduct(*[box] * f):
         for tors in iproduct(*torsion_choices):
@@ -401,10 +417,9 @@ def default_mu_sample(group, pairing_bound=10):
             if is_reg and (regular is None or
                            val < group.pairing_two_rho(regular)):
                 regular = cls
-            if val <= pairing_bound and cls not in seen:
-                seen.add(cls)
+            if val <= pairing_bound:
                 out.append(cls)
-    if regular is not None and regular not in seen:
+    if regular is not None and regular not in out:
         out.append(regular)
     out.sort(key=lambda c: (group.pairing_two_rho(c), c.free, c.torsion))
     return out
@@ -418,41 +433,55 @@ def speciality_report(group, mu_sample=None, bound=None, length_cap=64):
     expected to agree; rows where they do not are flagged (a finite check
     can in principle miss a witness, so disagreement is reported rather
     than raised).
+
+    Two classes of the sample with one free part differ by a torsion class
+    tau.  If t^tau is a torsion twin, Adm(mu + tau) = Adm(mu) t^tau relative
+    to every facet, so the later class takes the earlier one's counts.
     """
     if mu_sample is None:
         mu_sample = default_mu_sample(group)
     if bound is None:
-        lmax = max((group.translation(c).length for c in mu_sample), default=0)
-        bound = lmax + 2
-    facets = enumerate_facets(group)
-    counts = {facet.letters: [] for facet in facets}
-    # one double-coset memo per facet, for every mu and the parity pass
-    memos = {facet.letters: {} for facet in facets}
-    for cls in mu_sample:
-        alcove = _alcove(group, cls, length_cap)
+        bound = 2 + max((group.translation(c).length for c in mu_sample), default=0)
+    table = group._table = NeighbourTable(group)
+    try:
+        facets = enumerate_facets(group)
+        counts = {facet.letters: [] for facet in facets}
+        # one double-coset memo per facet, for every mu and the parity pass
+        memos = {facet.letters: {} for facet in facets}
+        # the closures of the sample are nested: expand each element once
+        expanded = {}
+
+        def deletions(g):
+            if g not in expanded:
+                expanded[g] = [table.entry(h)[0] for h in _deletions(group, g)]
+            return expanded[g]
+
+        first = {}
+        for i, cls in enumerate(mu_sample):
+            k = first.setdefault(getattr(cls, "free", i), i)
+            if k != i and _torsion_twin(group, group.translation(cls - mu_sample[k])):
+                for n in counts.values():
+                    n.append(n[k])
+                continue
+            alcove = _alcove(group, cls, length_cap, deletions)
+            for facet in facets:
+                adm = _relative(group, cls, facet, alcove, memos[facet.letters])
+                counts[facet.letters].append(len(adm.maxima))
+        components = _components(group, bound)
+        rows = []
         for facet in facets:
-            adm = _relative(group, cls, facet, alcove, memos[facet.letters])
-            counts[facet.letters].append(len(adm.maxima))
-    components = _components(group, bound)
-    rows = []
-    for facet in facets:
-        special = facet.is_special()
-        parity_ok, witness = _parity(group, facet, components,
-                                     memos[facet.letters])
-        nonunique = [cls for cls, n in zip(mu_sample, counts[facet.letters])
-                     if n != 1]
-        unique = not nonunique
-        nonunique_mu = nonunique[0] if nonunique else None
-        agree = special == parity_ok == unique
-        rows.append({
-            "facet": facet.letters,
-            "special": special,
-            "parity": parity_ok,
-            "parity_witness": witness,
-            "unique_max": unique,
-            "nonunique_mu": nonunique_mu,
-            "component_counts": tuple(counts[facet.letters]),
-            "bound": bound,
-            "agree": agree,
-        })
-    return rows
+            special = facet.is_special()
+            parity_ok, witness = _parity(group, facet, components,
+                                         memos[facet.letters])
+            counted = counts[facet.letters]
+            nonunique = [cls for cls, n in zip(mu_sample, counted) if n != 1]
+            rows.append({
+                "facet": facet.letters, "special": special, "parity": parity_ok,
+                "parity_witness": witness, "unique_max": not nonunique,
+                "nonunique_mu": nonunique[0] if nonunique else None,
+                "component_counts": tuple(counted), "bound": bound,
+                "agree": special == parity_ok == (not nonunique),
+            })
+        return rows
+    finally:
+        group._table = None

@@ -27,8 +27,9 @@ than corrupting lengths.
 
 No value changes after construction: a group's tables and walls, an
 element's class and finite part, a class's coordinates.  Only caches change
-(lengths, reduced words, W0 products), and each entry is filled once, with
-the value any later fill would give.
+(lengths, reduced words, W0 products, and the ``NeighbourTable`` a
+``facets.speciality_report`` holds until it returns), and each entry is
+filled once, with the value any later fill would give.
 
 Products
 --------
@@ -40,7 +41,7 @@ costs a memo lookup and one small matrix times vector, with no Smith-form
 lift or projection.
 """
 
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import gcd
 
 from .errors import EchelonnageError, ElementParseError, InternalInvariantError
@@ -216,6 +217,36 @@ class SimpleAffine:
         self.element = element
 
 
+class NeighbourTable:
+    """The neighbours s g and g s (s simple affine) of the elements one
+    computation visits, each product made at most once.  An element is one
+    canonical object, with the entry [g, s g for each s, g s for each s] of
+    references to canonical neighbours, None until asked for; s (s g) = g,
+    so a product fills the neighbour's slot too."""
+
+    def __init__(self, group):
+        simple = group.simple_affine
+        self.n = len(simple)
+        self.slot = {s.index: k for k, s in enumerate(simple, 1)}
+        self.factor = [None] + [s.element for s in simple] * 2
+        self.entries = {}
+
+    def entry(self, g):
+        e = self.entries.get(g)
+        if e is None:
+            e = self.entries[g] = [g] + [None] * (2 * self.n)
+        return e
+
+    def neighbour(self, g, k):
+        """s g for slot k <= n of g's entry, g s for the slots above."""
+        e = self.entry(g)
+        if e[k] is None:
+            s = self.factor[k]
+            far = self.entry(s * g if k <= self.n else g * s)
+            e[k], far[k] = far[0], e[0]
+        return e[k]
+
+
 class IwahoriWeylGroup:
     """W = (cocharacter coinvariants) x| W0 with length and Bruhat order."""
 
@@ -230,6 +261,7 @@ class IwahoriWeylGroup:
         self._build_base_alcove()
         self._length_cache = {}
         self._word_cache = {}
+        self._table = None
         self._build_simple_affine()
 
     # -- construction --------------------------------------------------------
@@ -532,6 +564,16 @@ class IwahoriWeylGroup:
             raise ElementParseError(
                 f"no simple affine reflection with index {index}") from None
 
+    def left_neighbour(self, j, g):
+        """s_j g, from the neighbour table while one is open."""
+        t = self._table
+        return self._simple_by_index[j] * g if t is None else t.neighbour(g, t.slot[j])
+
+    def right_neighbour(self, g, j):
+        """g s_j, from the neighbour table while one is open."""
+        t = self._table
+        return g * self._simple_by_index[j] if t is None else t.neighbour(g, t.n + t.slot[j])
+
     def element_from_word(self, letters, omega=None):
         g = self.identity() if omega is None else omega
         for i in reversed(letters):
@@ -551,8 +593,7 @@ class IwahoriWeylGroup:
         _, letters = va.reduced_word()
         cur = ua
         for i in letters:
-            s = self.simple_affine_element(i)
-            su = s * cur
+            su = self.left_neighbour(i, cur)
             if su.length < cur.length:
                 cur = su
         return cur.is_identity()
@@ -570,7 +611,7 @@ class IwahoriWeylGroup:
         cur = g
         while True:
             for j in letters:
-                cand = cur * self.simple_affine_element(j)
+                cand = self.right_neighbour(cur, j)
                 if cand.length < cur.length:
                     cur = cand
                     break
@@ -585,27 +626,14 @@ class IwahoriWeylGroup:
         reflections, is at most the number of lines of W0.
         """
         cur = g
-        steps = 0
-        while True:
-            moved = False
-            for j in letters:
-                cand = self.simple_affine_element(j) * cur
-                if cand.length > cur.length:
-                    cur = cand
-                    moved = True
-                    break
-            if not moved:
-                for j in letters:
-                    cand = cur * self.simple_affine_element(j)
-                    if cand.length > cur.length:
-                        cur = cand
-                        moved = True
-                        break
-            if not moved:
+        for _ in range(2 * len(self.line_primitives) + 1):
+            up = chain((self.left_neighbour(j, cur) for j in letters),
+                       (self.right_neighbour(cur, j) for j in letters))
+            nxt = next((h for h in up if h.length > cur.length), None)
+            if nxt is None:
                 return cur
-            steps += 1
-            if steps > 2 * len(self.line_primitives):
-                raise InternalInvariantError("double coset ascent exceeded 2 l(w_J) steps")
+            cur = nxt
+        raise InternalInvariantError("double coset ascent exceeded 2 l(w_J) steps")
 
     def dc_rep(self, g, letters):
         """The representative of maximal length among the minimal-length
@@ -673,7 +701,7 @@ class IwahoriWeylGroup:
         """All elements of the affine Weyl group with length <= bound."""
         def up(g):
             for s in self.simple_affine:
-                cand = s.element * g
+                cand = self.left_neighbour(s.index, g)
                 if cand.length == g.length + 1 and cand.length <= bound:
                     yield cand
 

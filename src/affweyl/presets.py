@@ -102,7 +102,7 @@ def _parse_datum_file(path):
             rvec = _ints(left, f"{path}: root")
             rkw = right.strip().split()
             if not rkw or rkw[0] != "coroot":
-                raise UnknownPresetError(f"{path}: root line without coroot")
+                raise PresetSyntaxError(f"{path}: root line without coroot")
             cvec = _ints(" ".join(rkw[1:]), f"{path}: coroot")
             roots.append(rvec)
             coroots.append(cvec)
@@ -110,9 +110,9 @@ def _parse_datum_file(path):
             aname, _, decl = rest.partition("|")
             actions[aname.strip()] = decl.strip()
         else:
-            raise UnknownPresetError(f"{path}: unknown directive {head!r}")
+            raise PresetSyntaxError(f"{path}: unknown directive {head!r}")
     if rank is None:
-        raise UnknownPresetError(f"{path}: missing rank")
+        raise PresetSyntaxError(f"{path}: missing rank")
     datum = BasedRootDatum(rank, tuple(roots), tuple(coroots), simples, name=name)
     return datum, actions
 
@@ -140,7 +140,7 @@ def _action_matrix(datum, decl, where):
         if any(x % den for row in scaled for x in row):
             raise FoldingError("permutation action is not integral on the lattice")
         return tuple(tuple(x // den for x in row) for row in scaled)
-    raise UnknownPresetError(f"unknown action declaration {decl!r}")
+    raise PresetSyntaxError(f"{where}: unknown action declaration {decl!r}")
 
 
 def _parse_group_file(path):
@@ -171,9 +171,9 @@ def _parse_group_file(path):
                     f"{path}: wall stride must be a nonzero rational, got {right.strip()!r}")
             walls.append((cov, stride))
         else:
-            raise UnknownPresetError(f"{path}: unknown directive {head!r}")
+            raise PresetSyntaxError(f"{path}: unknown directive {head!r}")
     if base is None:
-        raise UnknownPresetError(f"{path}: missing base datum")
+        raise PresetSyntaxError(f"{path}: missing base datum")
     return name, base, action, walls
 
 

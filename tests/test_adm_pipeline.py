@@ -6,14 +6,20 @@ preset, against the plain computation it replaces: one-letter deletions by
 ``element_from_word``, maxima by all-pairs Bruhat tests over the whole set,
 the parity check without the descent filter, the projection by one
 ``dc_rep`` per element, and the report by the public per-facet functions.
+The report's neighbour table, its one expansion of each closure element and
+its torsion twins are checked against direct products and closures.
 """
 
+import sys
+import threading
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from affweyl import facets as fc
+from affweyl.errors import CapExceededError
+from affweyl.iwahori import NeighbourTable
 from affweyl.presets import list_presets, load_group
 
 PRESETS = sorted(name for name, _, _ in list_presets())
@@ -147,6 +153,126 @@ def test_report_runs_dc_rep_once_per_double_coset(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", PRESETS)
+def test_report_expands_each_closure_element_once(name, monkeypatch):
+    """The sample's closures are nested; the report expands each distinct
+    element once, and skips the closures of torsion twins."""
+    group = load_group(name)
+    firsts = {}
+    for cls in fc.default_mu_sample(group):
+        firsts.setdefault(cls.free, cls)
+    expected = set()
+    for cls in firsts.values():
+        expected.update(fc._alcove(group, cls, 64)[0])
+    deletions = fc._deletions
+    expanded = []
+
+    def recording_deletions(group, g):
+        expanded.append(g)
+        return deletions(group, g)
+
+    monkeypatch.setattr(fc, "_deletions", recording_deletions)
+    fc.speciality_report(group)
+    assert len(set(expanded)) == len(expanded)
+    assert set(expanded) == expected
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_neighbour_table_holds_direct_products(name):
+    """With a table open, the group's neighbours are the direct products,
+    and every neighbour the table stores is the canonical object of its own
+    entry and equals the direct product."""
+    group = group_of(name)
+    table = group._table = NeighbourTable(group)
+    try:
+        for g in element_pool(name):
+            for s in group.simple_affine:
+                assert group.left_neighbour(s.index, g) == s.element * g
+                assert group.right_neighbour(g, s.index) == g * s.element
+    finally:
+        group._table = None
+    assert table.entries or not group.simple_affine
+    for g, entry in table.entries.items():
+        assert entry[0] is g
+        for s in group.simple_affine:
+            k = table.slot[s.index]
+            for h, product in ((entry[k], s.element * g),
+                               (entry[table.n + k], g * s.element)):
+                assert h is None or (h == product and table.entries[h][0] is h)
+
+
+@pytest.mark.parametrize("name", ["a2-sc", "folded-d3"])
+def test_report_releases_its_table(name):
+    group = load_group(name)
+    fc.speciality_report(group)
+    assert group._table is None
+    with pytest.raises(CapExceededError):
+        fc.speciality_report(group, length_cap=1)
+    assert group._table is None
+
+
+def test_reports_sharing_a_group_across_threads():
+    """Reports on one group from several threads each open the group's table
+    and drop it; a report whose table another one replaced or dropped goes on
+    with direct products, so every row comes out as in a lone report."""
+    group = load_group("folded-d3")
+    sample = list(mu_sample("folded-d3"))
+    expected = fc.speciality_report(group, sample, BOUND)
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(
+        fc.speciality_report(group, sample, BOUND))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+    assert group._table is None
+
+
+def test_torsion_twins_on_folded_d3():
+    """Classes of the sample with one free part differ by a torsion tau;
+    t^tau commutes with every simple affine reflection, and Adm(mu + tau) =
+    Adm(mu) t^tau, at the alcove and relative to every facet."""
+    group = group_of("folded-d3")
+    firsts = {}
+    twins = []
+    for cls in fc.default_mu_sample(group):
+        first = firsts.setdefault(cls.free, cls)
+        if first is not cls:
+            twins.append((first, cls))
+    assert twins
+    for mu, twin in twins:
+        t = group.translation(twin - mu)
+        assert t.length == 0 and not t.is_identity()
+        assert all(s.element * t == t * s.element for s in group.simple_affine)
+        assert fc._torsion_twin(group, t)
+        alcove, twin_alcove = fc._alcove(group, mu, 64), fc._alcove(group, twin, 64)
+        assert {g * t for g in alcove[0]} == set(twin_alcove[0])
+        for facet in facets_of("folded-d3"):
+            adm = fc._relative(group, mu, facet, alcove, {})
+            twin_adm = fc._relative(group, twin, facet, twin_alcove, {})
+            assert {g * t for g in adm.elements} == twin_adm.elements
+            assert {g * t for g in adm.maxima} == twin_adm.maxima
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_parity_components_skip_only_torsion_twins(name):
+    group = group_of(name)
+    ball = sorted(group.affine_ball(2), key=lambda g: (g.length, g.key()))
+    omegas = [om for _, om in sorted(group.omega_torsion_representatives().items())]
+    kept = [om for om in omegas if om.is_identity() or not fc._torsion_twin(group, om)]
+    assert omegas[0].is_identity()
+    assert fc._components(group, 2) == [[w * om for w in ball] for om in kept]
+    twins = len(omegas) - len(kept)
+    assert twins == (name in ("folded-d3", "t1-inv"))
+
+
+@pytest.mark.parametrize("name", PRESETS)
 def test_filtered_parity_matches_unfiltered(name):
     group = group_of(name)
     for facet in facets_of(name):
@@ -169,6 +295,17 @@ def test_memoized_projection_matches_dc_rep(name):
 def test_shared_closure_report_matches_per_facet(name):
     group = group_of(name)
     sample = list(mu_sample(name))
+    assert fc.speciality_report(group, sample, BOUND) == \
+        per_facet_report(group, sample, BOUND)
+
+
+@pytest.mark.parametrize("name,sample", [
+    ("folded-d3", [(1, 0, 0), (0, 0, 1), (1, 1, 0)]),
+    ("a2-sc", [(1, 0), (1, 1)]),
+])
+def test_report_takes_cocharacters(name, sample):
+    """A sample of absolute cocharacters has no torsion twins to share."""
+    group = group_of(name)
     assert fc.speciality_report(group, sample, BOUND) == \
         per_facet_report(group, sample, BOUND)
 

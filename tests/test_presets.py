@@ -161,6 +161,27 @@ def test_inconsistent_datum_gives_named_error(tmp_path, monkeypatch, capsys,
         assert err == error + "\n", (argv, err)
 
 
+@pytest.mark.parametrize("old,new,argv,message", [
+    ("rank 2", "rnk 2", ["report", "--preset", "a2-sc"], "unknown directive 'rnk'"),
+    ("perm 1 0", "prem 1 0", SWAP_A2,
+     "action swap: unknown action declaration 'prem 1 0'"),
+])
+def test_syntax_fault_in_found_file_is_named_syntax(tmp_path, monkeypatch, capsys,
+                                                     old, new, argv, message):
+    """A fault in a preset file that was found is a syntax error naming the
+    file; ``presets.unknown`` stays for names that are not found."""
+    from affweyl import cli
+    assert old in A2_SC
+    path = tmp_path / "a2-sc.datum"
+    path.write_text(A2_SC.replace(old, new))
+    monkeypatch.setenv("AFFWEYL_PRESET_PATH", str(tmp_path))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error[presets.syntax]: {path}: {message}\n"
+    assert cli.main(["report", "--preset", "a2-sx"]) == 2
+    assert capsys.readouterr().err == \
+        "error[presets.unknown]: unknown datum preset 'a2-sx'\n"
+
+
 def test_list_presets_skips_bad_files(tmp_path, monkeypatch, capsys):
     """A bad file costs its own row and one error line; the other presets
     are listed with the same bytes as without it."""
