@@ -19,9 +19,8 @@ an independent check, and the tests count the maxima by double cosets
 (``tests/oracles.py``).
 ``speciality_report`` builds each alcove closure, the affine ball and the
 length-zero representatives once and shares them between the facets, and
-keeps one double-coset memo per facet for every mu and the parity pass.
-Its ``iwahori.NeighbourTable`` and deletion memo make each simple-reflection
-neighbour and each element's one-letter deletions once per report.
+keeps one double-coset memo per facet for every mu and the parity pass, and
+makes each neighbour s g, g s and each element's deletions once per report.
 """
 
 from functools import cached_property
@@ -367,9 +366,8 @@ def _components(group, bound):
     """Per torsion class of pi1(G)_I, in key order: the affine ball of radius
     ``bound`` times the class's length-zero representative, by (length, key).
     Each is a Bruhat lower ideal, as the ball is one.  The identity's comes
-    first; a torsion twin's is left out, as its check repeats the first one's
-    (the twin is central of length zero: it keeps lengths and ``dc_rep``).
-    """
+    first; a torsion twin's, the first times a central t of length zero, is
+    left out, as t keeps lengths and ``dc_rep`` and so the parity check."""
     ball = sorted(group.affine_ball(bound), key=lambda g: (g.length, g.key()))
     omegas = group.omega_torsion_representatives()
     return [ball if om.is_identity() else [w * om for w in ball]
@@ -378,9 +376,8 @@ def _components(group, bound):
 
 
 def _torsion_twin(group, t):
-    """Whether t is a translation by a torsion class that commutes with
-    every simple affine reflection.  Such a t has length zero, so it lies in
-    the abelian Omega = pi1(G)_I and is central in W."""
+    """Whether t is a torsion translation commuting with each simple affine
+    reflection; such a t lies in the abelian Omega = pi1(G)_I, so is central."""
     return t.w.is_identity() and not any(t.cls.free) and all(
         s.element * t == t * s.element for s in group.simple_affine)
 

@@ -225,10 +225,9 @@ class NeighbourTable:
     so a product fills the neighbour's slot too."""
 
     def __init__(self, group):
-        simple = group.simple_affine
-        self.n = len(simple)
-        self.slot = {s.index: k for k, s in enumerate(simple, 1)}
-        self.factor = [None] + [s.element for s in simple] * 2
+        self.n = len(group.simple_affine)
+        self.slot = {s.index: k for k, s in enumerate(group.simple_affine, 1)}
+        self.factor = [None] + [s.element for s in group.simple_affine] * 2
         self.entries = {}
 
     def entry(self, g):
@@ -567,12 +566,16 @@ class IwahoriWeylGroup:
     def left_neighbour(self, j, g):
         """s_j g, from the neighbour table while one is open."""
         t = self._table
-        return self._simple_by_index[j] * g if t is None else t.neighbour(g, t.slot[j])
+        if t is None:
+            return self.simple_affine_element(j) * g
+        return t.neighbour(g, t.slot[j])
 
     def right_neighbour(self, g, j):
         """g s_j, from the neighbour table while one is open."""
         t = self._table
-        return g * self._simple_by_index[j] if t is None else t.neighbour(g, t.n + t.slot[j])
+        if t is None:
+            return g * self.simple_affine_element(j)
+        return t.neighbour(g, t.n + t.slot[j])
 
     def element_from_word(self, letters, omega=None):
         g = self.identity() if omega is None else omega
