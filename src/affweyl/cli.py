@@ -3,7 +3,9 @@
 Subcommands: list-presets, fold, wgroup (length|word|leq|kottwitz), adm,
 report, branch, char, selftest.  Exit codes: 0 success, 1 argument parse
 error, 2 domain error (printed with its module-local name), 3 internal
-invariant violation.
+invariant violation, 141 (128 + SIGPIPE, what a shell shows for a writer
+stopped by a closed pipe) when stdout closes before all output is written,
+as in ``affweyl adm ... | head -1``; the rest is dropped without a message.
 
 Elements are written ``t[c1,...]*w[i1,...]``: translation class coordinates
 (free then torsion) and a word in the finite simple reflections (1-based,
@@ -14,6 +16,7 @@ a schema version field.
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -258,7 +261,7 @@ def _arg(*flags, **kwargs):
 
 _PRESET = _arg("--preset", required=True)
 _MU = _arg("--mu", type=_int_list, required=True)
-_CAP = _arg("--cap", type=int, default=64)
+_CAP = _arg("--cap", type=_nonnegative_int, default=64)
 _FORMAT = _arg("--format", choices=["text", "tsv", "json"], default="text")
 
 # name -> (handler, help, arguments), in the order of the top-level help
@@ -314,7 +317,13 @@ def main(argv=None):
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except AffweylError as e:
         _print_error(e)
         return 2

@@ -20,7 +20,8 @@ an independent check, and the tests count the maxima by double cosets
 ``speciality_report`` builds each alcove closure, the affine ball and the
 length-zero representatives once and shares them between the facets, and
 keeps one double-coset memo per facet for every mu and the parity pass, and
-makes each neighbour s g, g s and each element's deletions once per report.
+expands each element's deletions once; the neighbours s g, g s are cached
+on the elements themselves (``iwahori``).
 """
 
 from functools import cached_property
@@ -28,7 +29,6 @@ from itertools import combinations, product as iproduct, takewhile
 
 from .errors import (CapExceededError, FacetError, InfiniteGroupError,
                      InternalInvariantError)
-from .iwahori import NeighbourTable
 from .linalg import (dot, integer_left_inverse, mat_transpose, primitive_covector,
                      scaled_coordinates)
 from .root_data import closure
@@ -439,46 +439,42 @@ def speciality_report(group, mu_sample=None, bound=None, length_cap=64):
         mu_sample = default_mu_sample(group)
     if bound is None:
         bound = 2 + max((group.translation(c).length for c in mu_sample), default=0)
-    table = group._table = NeighbourTable(group)
-    try:
-        facets = enumerate_facets(group)
-        counts = {facet.letters: [] for facet in facets}
-        # one double-coset memo per facet, for every mu and the parity pass
-        memos = {facet.letters: {} for facet in facets}
-        # the closures of the sample are nested: expand each element once
-        expanded = {}
+    facets = enumerate_facets(group)
+    counts = {facet.letters: [] for facet in facets}
+    # one double-coset memo per facet, for every mu and the parity pass
+    memos = {facet.letters: {} for facet in facets}
+    # the closures of the sample are nested: expand each element once
+    expanded = {}
 
-        def deletions(g):
-            if g not in expanded:
-                expanded[g] = [table.entry(h)[0] for h in _deletions(group, g)]
-            return expanded[g]
+    def deletions(g):
+        if g not in expanded:
+            expanded[g] = list(_deletions(group, g))
+        return expanded[g]
 
-        first = {}
-        for i, cls in enumerate(mu_sample):
-            k = first.setdefault(getattr(cls, "free", i), i)
-            if k != i and _torsion_twin(group, group.translation(cls - mu_sample[k])):
-                for n in counts.values():
-                    n.append(n[k])
-                continue
-            alcove = _alcove(group, cls, length_cap, deletions)
-            for facet in facets:
-                adm = _relative(group, cls, facet, alcove, memos[facet.letters])
-                counts[facet.letters].append(len(adm.maxima))
-        components = _components(group, bound)
-        rows = []
+    first = {}
+    for i, cls in enumerate(mu_sample):
+        k = first.setdefault(getattr(cls, "free", i), i)
+        if k != i and _torsion_twin(group, group.translation(cls - mu_sample[k])):
+            for n in counts.values():
+                n.append(n[k])
+            continue
+        alcove = _alcove(group, cls, length_cap, deletions)
         for facet in facets:
-            special = facet.is_special()
-            parity_ok, witness = _parity(group, facet, components,
-                                         memos[facet.letters])
-            counted = counts[facet.letters]
-            nonunique = [cls for cls, n in zip(mu_sample, counted) if n != 1]
-            rows.append({
-                "facet": facet.letters, "special": special, "parity": parity_ok,
-                "parity_witness": witness, "unique_max": not nonunique,
-                "nonunique_mu": nonunique[0] if nonunique else None,
-                "component_counts": tuple(counted), "bound": bound,
-                "agree": special == parity_ok == (not nonunique),
-            })
-        return rows
-    finally:
-        group._table = None
+            adm = _relative(group, cls, facet, alcove, memos[facet.letters])
+            counts[facet.letters].append(len(adm.maxima))
+    components = _components(group, bound)
+    rows = []
+    for facet in facets:
+        special = facet.is_special()
+        parity_ok, witness = _parity(group, facet, components,
+                                     memos[facet.letters])
+        counted = counts[facet.letters]
+        nonunique = [cls for cls, n in zip(mu_sample, counted) if n != 1]
+        rows.append({
+            "facet": facet.letters, "special": special, "parity": parity_ok,
+            "parity_witness": witness, "unique_max": not nonunique,
+            "nonunique_mu": nonunique[0] if nonunique else None,
+            "component_counts": tuple(counted), "bound": bound,
+            "agree": special == parity_ok == (not nonunique),
+        })
+    return rows

@@ -178,7 +178,7 @@ class CoinvariantLattice:
             cols = [(0,) * n]
         self.relation_matrix = tuple(
             tuple(c[i] for c in cols) for i in range(n))
-        s, u, v, uinv, vinv = smith_normal_form(self.relation_matrix, inverses=True)
+        s, u, v, uinv, vinv = smith_normal_form(self.relation_matrix)
         if not verify_decomposition(self.relation_matrix, s, u, v, uinv, vinv):
             raise FoldingError("smith decomposition failed to verify")
         self.smith = s

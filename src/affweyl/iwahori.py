@@ -25,10 +25,13 @@ lattice preservation, Weyl symmetry of the arrangement, and integrality of
 the wall reflections, so a wrong table fails at construction time rather
 than corrupting lengths.
 
-No value changes after construction: a group's tables and walls, an
-element's class and finite part, a class's coordinates.  Only caches change
-(lengths, reduced words, W0 products, and the ``NeighbourTable`` a
-``facets.speciality_report`` holds until it returns), and each entry is
+A group holds one object per element, keyed by (class, W0 index), so
+equality is identity (``setdefault`` makes threads agree on the object).
+An element caches its length, reduced word and neighbours s g, g s (s
+simple affine), each made when first asked for; s (s g) = g fills the
+reverse slot too.  No value changes after construction: a group's tables
+and walls, an element's class and finite part, a class's coordinates.  Only
+caches change (the elements' and the W0 products'), and each entry is
 filled once, with the value any later fill would give.
 
 Products
@@ -127,27 +130,27 @@ class RelWeylGroup(FiniteReflectionGroup):
 
 
 class IwahoriWeylElement:
-    """Element (translation class, finite part) of an Iwahori-Weyl group."""
+    """Element (translation class, finite part) of an Iwahori-Weyl group;
+    it hashes by its key, so sets of elements keep one order across runs."""
 
-    __slots__ = ("group", "cls", "w", "_len", "_word", "_omega")
+    __slots__ = ("group", "cls", "w", "_hash", "_len", "_word", "_omega", "_next")
 
-    def __init__(self, group, cls, w):
+    def __init__(self, group, cls, w, key):
         self.group = group
         self.cls = cls
         self.w = w
+        self._hash = hash(key)
         self._len = None
         self._word = None
         self._omega = None
+        # s g for each simple affine s, then g s, by the group's slot numbers
+        self._next = None
 
     def key(self):
         return (self.cls.free, self.cls.torsion, self.w.index)
 
-    def __eq__(self, other):
-        return isinstance(other, IwahoriWeylElement) and self.group is other.group \
-            and self.key() == other.key()
-
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __mul__(self, other):
         g = self.group
@@ -217,35 +220,6 @@ class SimpleAffine:
         self.element = element
 
 
-class NeighbourTable:
-    """The neighbours s g and g s (s simple affine) of the elements one
-    computation visits, each product made at most once.  An element is one
-    canonical object, with the entry [g, s g for each s, g s for each s] of
-    references to canonical neighbours, None until asked for; s (s g) = g,
-    so a product fills the neighbour's slot too."""
-
-    def __init__(self, group):
-        self.n = len(group.simple_affine)
-        self.slot = {s.index: k for k, s in enumerate(group.simple_affine, 1)}
-        self.factor = [None] + [s.element for s in group.simple_affine] * 2
-        self.entries = {}
-
-    def entry(self, g):
-        e = self.entries.get(g)
-        if e is None:
-            e = self.entries[g] = [g] + [None] * (2 * self.n)
-        return e
-
-    def neighbour(self, g, k):
-        """s g for slot k <= n of g's entry, g s for the slots above."""
-        e = self.entry(g)
-        if e[k] is None:
-            s = self.factor[k]
-            far = self.entry(s * g if k <= self.n else g * s)
-            e[k], far[k] = far[0], e[0]
-        return e[k]
-
-
 class IwahoriWeylGroup:
     """W = (cocharacter coinvariants) x| W0 with length and Bruhat order."""
 
@@ -254,13 +228,11 @@ class IwahoriWeylGroup:
         self.datum = action.datum
         self.name = name or (action.datum.name + "-iw")
         self.coinv = coinvariants(action, "cocharacters")
+        self._elements = {}
         self._build_pi1()
         self._build_relative_roots()
         self._build_walls(wall_table)
         self._build_base_alcove()
-        self._length_cache = {}
-        self._word_cache = {}
-        self._table = None
         self._build_simple_affine()
 
     # -- construction --------------------------------------------------------
@@ -468,12 +440,17 @@ class IwahoriWeylGroup:
         for s in self.simple_affine:
             s.element._word = (s.index,)
             s.element._omega = self.identity()
-        self._simple_by_index = {s.index: s.element for s in self.simple_affine}
+        self._slot = {s.index: k for k, s in enumerate(self.simple_affine)}
 
     # -- basic elements -------------------------------------------------------
 
     def element(self, cls, w):
-        return IwahoriWeylElement(self, cls, w)
+        """The group's one element with class cls and finite part w."""
+        key = (cls.free, cls.torsion, w.index)
+        g = self._elements.get(key)
+        if g is None:
+            g = self._elements.setdefault(key, IwahoriWeylElement(self, cls, w, key))
+        return g
 
     def identity(self):
         return self.element(self.coinv.zero(), self.w0.identity)
@@ -500,10 +477,6 @@ class IwahoriWeylGroup:
         return vec_add(moved, vec_scale(self.p0_den, g.cls.free))
 
     def _length(self, g):
-        key = (g.cls.free, g.w.index)
-        hit = self._length_cache.get(key)
-        if hit is not None:
-            return hit
         q = self._act_point(g, self.p0_num)
         d = self.p0_den
         total = 0
@@ -513,7 +486,6 @@ class IwahoriWeylGroup:
             if a > b:
                 a, b = b, a
             total += b // d - a // d
-        self._length_cache[key] = total
         return total
 
     def _walk(self, g):
@@ -522,10 +494,6 @@ class IwahoriWeylGroup:
         Returns (letters, omega) with g = s_{letters[0]} ... s_{letters[-1]} * omega,
         the letters forming the lexicographically least reduced word.
         """
-        key = g.key()
-        hit = self._word_cache.get(key)
-        if hit is not None:
-            return hit
         p = self._act_point(g, self.p0_num)
         d = self.p0_den
         letters = []
@@ -550,32 +518,38 @@ class IwahoriWeylGroup:
         om = g
         for i in letters:
             om = self.simple_affine_element(i) * om
-        if self._length(om) != 0:
+        if om.length != 0:
             raise InternalInvariantError("walk remainder has positive length")
-        out = (tuple(letters), om)
-        self._word_cache[key] = out
-        return out
+        return tuple(letters), om
 
     def simple_affine_element(self, index):
         try:
-            return self._simple_by_index[index]
+            return self.simple_affine[self._slot[index]].element
         except KeyError:
             raise ElementParseError(
                 f"no simple affine reflection with index {index}") from None
 
     def left_neighbour(self, j, g):
-        """s_j g, from the neighbour table while one is open."""
-        t = self._table
-        if t is None:
-            return self.simple_affine_element(j) * g
-        return t.neighbour(g, t.slot[j])
+        """s_j g, made once per element."""
+        return self._neighbour(g, j, False)
 
     def right_neighbour(self, g, j):
-        """g s_j, from the neighbour table while one is open."""
-        t = self._table
-        if t is None:
-            return g * self.simple_affine_element(j)
-        return t.neighbour(g, t.n + t.slot[j])
+        """g s_j, made once per element."""
+        return self._neighbour(g, j, True)
+
+    def _neighbour(self, g, j, right):
+        s = self.simple_affine_element(j)
+        k = self._slot[j] + right * len(self._slot)
+        h = (g._next or self._slots(g))[k]
+        if h is None:
+            h = g._next[k] = g * s if right else s * g
+            (h._next or self._slots(h))[k] = g
+        return h
+
+    def _slots(self, g):
+        """g's neighbour slots, empty until first asked for."""
+        g._next = [None] * (2 * len(self._slot))
+        return g._next
 
     def element_from_word(self, letters, omega=None):
         g = self.identity() if omega is None else omega

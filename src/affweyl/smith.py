@@ -1,18 +1,18 @@
 """Smith normal form over Z with transformation matrices.
 
-``smith_normal_form(A)`` returns ``(S, U, V)`` with ``U A V = S``, where U and
-V are unimodular and S is diagonal with nonnegative invariant factors
-d_1 | d_2 | ... .  With ``inverses=True`` it also returns U^-1 and V^-1,
-carried through the same elementary operations that build U and V: a row
-operation U <- E U is matched by the column operation U^-1 <- U^-1 E^-1, and
-a column operation V <- V E by the row operation V^-1 <- E^-1 V^-1.  All
-arithmetic is on Python ints, so intermediate pivot growth is harmless.
+``smith_normal_form(A)`` returns ``(S, U, V, U^-1, V^-1)`` with ``U A V = S``,
+where U and V are unimodular and S is diagonal with nonnegative invariant
+factors d_1 | d_2 | ... .  The inverses are carried through the same
+elementary operations that build U and V: a row operation U <- E U is
+matched by the column operation U^-1 <- U^-1 E^-1, and a column operation
+V <- V E by the row operation V^-1 <- E^-1 V^-1.  All arithmetic is on
+Python ints, so intermediate pivot growth is harmless.
 """
 
 from .linalg import identity, mat_inverse_int, mat_mul
 
 
-def smith_normal_form(a, inverses=False):
+def smith_normal_form(a):
     a = [list(row) for row in a]
     m = len(a)
     n = len(a[0]) if m else 0
@@ -100,8 +100,7 @@ def smith_normal_form(a, inverses=False):
             continue
         t += 1
 
-    mats = (a, u, v, uinv, vinv) if inverses else (a, u, v)
-    return tuple(tuple(tuple(r) for r in mat) for mat in mats)
+    return tuple(tuple(tuple(r) for r in mat) for mat in (a, u, v, uinv, vinv))
 
 
 def verify_decomposition(a, s, u, v, uinv=None, vinv=None):

@@ -120,7 +120,7 @@ def stabilizer_generators(weyl, mu):
 
 def invariant_factors(a):
     """Nonzero diagonal entries of the Smith normal form of ``a``."""
-    s, _, _ = smith_normal_form(a)
+    s, _, _, _, _ = smith_normal_form(a)
     return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))
                  if s[i][i] != 0)
 

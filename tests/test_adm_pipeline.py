@@ -6,20 +6,22 @@ preset, against the plain computation it replaces: one-letter deletions by
 ``element_from_word``, maxima by all-pairs Bruhat tests over the whole set,
 the parity check without the descent filter, the projection by one
 ``dc_rep`` per element, and the report by the public per-facet functions.
-The report's neighbour table, its one expansion of each closure element and
-its torsion twins are checked against direct products and closures.
+The neighbours each element stores, the report's one expansion of each
+closure element and its torsion twins are checked against direct products
+and closures, and the one object per element against threads.
 """
 
 import sys
 import threading
+import time
 from functools import lru_cache
+from itertools import chain, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from affweyl import facets as fc
-from affweyl.errors import CapExceededError
-from affweyl.iwahori import NeighbourTable
+from affweyl.iwahori import IwahoriWeylElement
 from affweyl.presets import list_presets, load_group
 
 PRESETS = sorted(name for name, _, _ in list_presets())
@@ -178,48 +180,32 @@ def test_report_expands_each_closure_element_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_neighbour_table_holds_direct_products(name):
-    """With a table open, the group's neighbours are the direct products,
-    and every neighbour the table stores is the canonical object of its own
-    entry and equals the direct product."""
+    """The group's neighbours are the direct products, and every neighbour
+    an element stores is the canonical object of its own key and equals the
+    direct product."""
     group = group_of(name)
-    table = group._table = NeighbourTable(group)
-    try:
-        for g in element_pool(name):
-            for s in group.simple_affine:
-                assert group.left_neighbour(s.index, g) == s.element * g
-                assert group.right_neighbour(g, s.index) == g * s.element
-    finally:
-        group._table = None
-    assert table.entries or not group.simple_affine
-    for g, entry in table.entries.items():
-        assert entry[0] is g
+    for g in element_pool(name):
         for s in group.simple_affine:
-            k = table.slot[s.index]
-            for h, product in ((entry[k], s.element * g),
-                               (entry[table.n + k], g * s.element)):
-                assert h is None or (h == product and table.entries[h][0] is h)
+            assert group.left_neighbour(s.index, g) == s.element * g
+            assert group.right_neighbour(g, s.index) == g * s.element
+    assert_neighbour_slots(group)
 
 
-@pytest.mark.parametrize("name", ["a2-sc", "folded-d3"])
-def test_report_releases_its_table(name):
-    group = load_group(name)
-    fc.speciality_report(group)
-    assert group._table is None
-    with pytest.raises(CapExceededError):
-        fc.speciality_report(group, length_cap=1)
-    assert group._table is None
+def assert_neighbour_slots(group):
+    n = len(group.simple_affine)
+    filled = [g for g in group._elements.values() if g._next is not None]
+    assert filled or not group.simple_affine
+    for g in filled:
+        assert group.element(g.cls, g.w) is g
+        for s in group.simple_affine:
+            k = group._slot[s.index]
+            for h, product in ((g._next[k], s.element * g),
+                               (g._next[n + k], g * s.element)):
+                assert h is None or (h == product and group._elements[h.key()] is h)
 
 
-def test_reports_sharing_a_group_across_threads():
-    """Reports on one group from several threads each open the group's table
-    and drop it; a report whose table another one replaced or dropped goes on
-    with direct products, so every row comes out as in a lone report."""
-    group = load_group("folded-d3")
-    sample = list(mu_sample("folded-d3"))
-    expected = fc.speciality_report(group, sample, BOUND)
-    results = []
-    threads = [threading.Thread(target=lambda: results.append(
-        fc.speciality_report(group, sample, BOUND))) for _ in range(4)]
+def run_switching_often(threads):
+    """Start and join the threads, switching between them every 10 us."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -230,8 +216,56 @@ def test_reports_sharing_a_group_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+
+
+def test_reports_sharing_a_group_across_threads():
+    """Reports on one group from several threads share its elements and
+    their neighbours, and every row comes out as in a lone report."""
+    group = load_group("folded-d3")
+    sample = list(mu_sample("folded-d3"))
+    expected = fc.speciality_report(group, sample, BOUND)
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(
+        fc.speciality_report(group, sample, BOUND))) for _ in range(4)]
+    run_switching_often(threads)
     assert results == [expected] * 4
-    assert group._table is None
+
+
+def test_elements_are_one_object_per_key_across_threads(monkeypatch):
+    """Threads taking products and neighbours on one fresh group get one
+    object per key(), and every neighbour slot holds its key's object.
+    Each new element gives up the interpreter lock once it is built, so
+    threads often build one element at the same time."""
+    init = IwahoriWeylElement.__init__
+
+    def yielding_init(*args):
+        init(*args)
+        time.sleep(0)
+
+    monkeypatch.setattr(IwahoriWeylElement, "__init__", yielding_init)
+    group = load_group("folded-d3")
+    letters = [s.index for s in group.simple_affine]
+    words = list(iproduct(letters, repeat=4))
+    seen = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def work(t):
+        start.wait()
+        for word in words:
+            g = group.element_from_word(word)
+            seen[t].append(g)
+            for j in letters:
+                seen[t].append(group.left_neighbour(j, g))
+                seen[t].append(group.right_neighbour(g, j))
+                seen[t].append(g * group.simple_affine_element(j))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    run_switching_often(threads)
+    objects = {}
+    for g in chain.from_iterable(seen):
+        assert objects.setdefault(g.key(), g) is g
+    assert all(group._elements[key] is g for key, g in objects.items())
+    assert_neighbour_slots(group)
 
 
 def test_torsion_twins_on_folded_d3():

@@ -1,6 +1,7 @@
-"""`branch` and `char` through ``cli.main``: every recorded benchmark command
-prints the bytes its digest pins, and no argument string gives a traceback
-or an internal-invariant exit."""
+"""The CLI through ``cli.main``: every recorded benchmark command (`report`,
+`adm`, `branch` and `char`) prints the bytes its digest pins, and no
+`branch` or `char` argument string gives a traceback or an
+internal-invariant exit."""
 
 import contextlib
 import hashlib
@@ -8,6 +9,7 @@ import io
 import json
 import os
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from affweyl import cli
@@ -26,10 +28,14 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def test_branch_pool_commands_print_their_recorded_bytes():
+POOL_SIZES = {"report": 4, "adm": 315, "branch": 305}
+
+
+@pytest.mark.parametrize("workload", POOL_SIZES)
+def test_pool_commands_print_their_recorded_bytes(workload):
     with open(POOL) as f:
-        pool = json.load(f)["branch"]
-    assert len(pool) == 305
+        pool = json.load(f)[workload]
+    assert len(pool) == POOL_SIZES[workload]
     wrong = []
     for entry in pool:
         rc, out, _ = _run(list(entry["argv"]))

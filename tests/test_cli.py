@@ -100,6 +100,28 @@ def test_exit_codes():
                "--element", "garbage").returncode == 2
     assert run("no-such-command").returncode == 1
     assert run("adm", "--preset", "a1-sc").returncode == 1  # missing --mu
+    assert run("report", "--preset", "a1-sc", "--cap", "-1").returncode == 1
+    assert run("adm", "--preset", "a1-sc", "--mu", "1", "--cap", "-1").returncode == 1
+
+
+@pytest.mark.parametrize("args, lines", [
+    (("wgroup", "word", "--preset", "a1-sc", "--element", "t[20000]"), 1),
+    (("wgroup", "length", "--preset", "a1-sc", "--element", "t[2]"), 0),
+])
+def test_closed_stdout_prints_no_traceback(args, lines):
+    """A reader that stops early (``| head -1``, or at once) leaves no
+    traceback and no message; the exit status is 141.  The word of t[20000]
+    is 120 kB, more than a pipe holds, so its writer meets the closed pipe
+    after the first line."""
+    p = subprocess.Popen(CMD + list(args), stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, env=child_env())
+    for _ in range(lines):
+        p.stdout.readline()
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait(timeout=120) == 141, err
+    assert b"Traceback" not in err and err == b""
 
 
 def test_unknown_facet_letter_is_a_named_facet_error():

@@ -62,21 +62,23 @@ def test_admissible_sets_compare_by_fields(group_of):
 
 
 def test_values_fixed_and_caches_filled_once(group_of):
-    """Products leave their operands as they were, and a fresh element
-    reads the same length and reduced word the caches hold."""
+    """Products leave their operands as they were, and asking the group
+    again for an element gives the same object, with the length and
+    reduced word it holds."""
     group = group_of("g2")
     ball = sorted(group.affine_ball(3), key=lambda g: g.key())
     before = [(g.key(), g.cls.free, g.cls.torsion, g.w.index) for g in ball]
     words = {g.key(): g.reduced_word() for g in ball}
-    lengths = dict(group._length_cache)
+    lengths = {g.key(): g._len for g in ball}
+    assert None not in lengths.values()
     for g in ball:
         for h in ball[:8]:
             g * h
         fresh = group.element(g.cls, g.w)
-        assert fresh is not g
+        assert fresh is g
         assert fresh.reduced_word() == words[g.key()] and fresh.length == g.length
     assert [(g.key(), g.cls.free, g.cls.torsion, g.w.index) for g in ball] == before
-    assert all(group._length_cache[k] == v for k, v in lengths.items())
+    assert all(g._len == lengths[g.key()] for g in ball)
 
 
 def test_cli_import_leaves_out_dataclasses():
