@@ -1,4 +1,3 @@
-import sys
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+run()

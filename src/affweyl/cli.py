@@ -7,6 +7,10 @@ invariant violation, 141 (128 + SIGPIPE, what a shell shows for a writer
 stopped by a closed pipe) when stdout closes before all output is written,
 as in ``affweyl adm ... | head -1``; the rest is dropped without a message.
 
+The process flushes stdout and stderr and ends with ``os._exit``, skipping
+the interpreter's teardown, so at-exit hooks (subprocess coverage, say) do
+not run in it; ``main(argv)`` returns its exit code to in-process callers.
+
 Elements are written ``t[c1,...]*w[i1,...]``: translation class coordinates
 (free then torsion) and a word in the finite simple reflections (1-based,
 matching the S_aff indices of the origin walls).  Output is deterministic:
@@ -41,7 +45,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _emit(doc, fmt, table_keys=None):
-    """Render a result document: json, tsv (rows only) or plain text."""
+    """Render a result document: json, tsv (the rows, or for a document
+    without rows its fields as one row) or plain text."""
     if fmt == "json":
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         return
@@ -49,6 +54,8 @@ def _emit(doc, fmt, table_keys=None):
     keys = table_keys or (sorted(rows[0]) if rows else [])
     meta = {k: v for k, v in doc.items() if k not in ("rows", "schema")}
     if fmt == "tsv":
+        if "rows" not in doc:
+            rows, keys = [meta], sorted(meta)
         print("\t".join(keys))
         for row in rows:
             print("\t".join(str(row.get(k, "")) for k in keys))
@@ -163,8 +170,7 @@ def cmd_wgroup(args):
 
 def cmd_adm(args):
     group = load_group(args.preset)
-    letters = args.facet
-    facet = fc.Facet(group, letters)
+    facet = fc.Facet(group, args.facet)
     mu = _class_for_group(group, args.mu)
     adm = fc.admissible_set(group, mu, facet, length_cap=args.cap)
     rows = sorted(({"element": group.element_to_string(g), "length": g.length,
@@ -173,14 +179,14 @@ def cmd_adm(args):
     doc = {
         "schema": SCHEMA,
         "preset": args.preset,
-        "facet": list(letters),
+        "facet": list(facet.letters),
         "size": len(adm.elements),
         "n_maxima": len(adm.maxima),
         "length_cap": args.cap,
         "rows": rows,
     }
     if args.format != "json":
-        doc["facet"] = ",".join(map(str, letters))
+        doc["facet"] = ",".join(map(str, facet.letters))
     _emit(doc, args.format, ["element", "length", "maximal"])
     return 0
 
@@ -321,7 +327,7 @@ def main(argv=None):
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the interpreter flushes stdout again at exit: point it at devnull
+        # stdout is flushed again at exit: point it at devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except AffweylError as e:
@@ -332,5 +338,16 @@ def main(argv=None):
         return 3
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run():
+    """The process entry point (``python -m affweyl``, the ``affweyl``
+    script): ``main``, a flush of stdout and stderr, then ``os._exit``, so
+    the interpreter tears down no modules or objects.  An exception that
+    escapes ``main`` takes the ordinary exit."""
+    code = main()
+    # a stream is None when its descriptor was closed at start (``>&-``)
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 141
+    os._exit(code)

@@ -39,7 +39,7 @@ class Facet:
 
     def __init__(self, group, letters):
         self.group = group
-        self.letters = tuple(sorted(letters))
+        self.letters = tuple(sorted(set(letters)))
         known = {s.index for s in group.simple_affine}
         for j in self.letters:
             if j not in known:

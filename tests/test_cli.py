@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -122,6 +123,87 @@ def test_closed_stdout_prints_no_traceback(args, lines):
     p.stderr.close()
     assert p.wait(timeout=120) == 141, err
     assert b"Traceback" not in err and err == b""
+
+
+def test_help_into_a_closed_pipe_exits_141_silently():
+    """``--help`` fits stdout's buffer, so with a buffered stdout the write
+    fails only at the final flush, after ``main`` has returned."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        r = subprocess.run(CMD + ["--help"], stdout=write_end,
+                           stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (141, b"")
+
+
+def test_exception_escaping_main_takes_the_ordinary_exit():
+    code = ("import affweyl.cli as cli\n"
+            "def boom(argv=None):\n"
+            "    raise RuntimeError('boom')\n"
+            "cli.main = boom\n"
+            "cli.run()\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=child_env())
+    assert r.returncode == 1
+    assert "Traceback" in r.stderr and "RuntimeError: boom" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    # the four report commands of the benchmark pool
+    ("report", "--preset", "c2-sc", "--format", "json"),
+    ("report", "--preset", "folded-a3", "--format", "json"),
+    ("report", "--preset", "folded-d3", "--format", "json"),
+    ("report", "--preset", "g2", "--format", "json"),
+    ("adm", "--preset", "a3-sc", "--mu", "2,2,2", "--format", "json"),
+    # 120,040 bytes, more than a pipe holds
+    ("wgroup", "word", "--preset", "a1-sc", "--element", "t[20000]"),
+], ids=["report-c2-sc", "report-folded-a3", "report-folded-d3", "report-g2",
+         "adm-a3-sc", "wgroup-word-a1-sc"])
+def test_process_stdout_equals_in_process_main(args, capsys):
+    from affweyl import cli
+    assert cli.main(list(args)) == 0
+    in_process = capsys.readouterr().out.encode()
+    r = subprocess.run(CMD + list(args), capture_output=True, env=child_env())
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert r.stdout == in_process
+
+
+@pytest.mark.parametrize("args, expected", [
+    (("length", "--preset", "a1-sc", "--element", "t[2]"),
+     "element\tlength\nt[2]\t4\n"),
+    (("word", "--preset", "a1-sc", "--element", "t[1]"),
+     "element\tletters\tomega\nt[1]\t[1, 0]\tt[0]\n"),
+    (("leq", "--preset", "a1-sc", "--element", "w[1]", "--other", "t[1]"),
+     "element\tleq\tother\nw[1]\tTrue\tt[1]\n"),
+    (("kottwitz", "--preset", "a1-ad", "--element", "t[1]"),
+     "element\tkottwitz_free\tkottwitz_torsion\nt[1]\t[]\t[1]\n"),
+], ids=["length", "word", "leq", "kottwitz"])
+def test_wgroup_tsv_prints_the_fields_as_one_row(args, expected):
+    """A wgroup document has no rows: its tsv is the fields ``text`` lists,
+    as one header and one row."""
+    r = run("wgroup", *args, "--format", "tsv")
+    assert (r.returncode, r.stdout) == (0, expected)
+    text = run("wgroup", *args)
+    header, row = expected.splitlines()
+    assert text.stdout == "".join(
+        f"{k}: {v}\n" for k, v in zip(header.split("\t"), row.split("\t")))
+
+
+@pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+def test_adm_facet_is_the_set_of_its_letters(fmt):
+    def adm(facet):
+        r = run("adm", "--preset", "a2-sc", "--facet", facet, "--mu", "1,0",
+                "--format", fmt)
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+    assert adm("1,1") == adm("1")
+    assert adm("2,1") == adm("1,2")
+    if fmt == "json":
+        assert json.loads(adm("2,1,2"))["facet"] == [1, 2]
 
 
 def test_unknown_facet_letter_is_a_named_facet_error():
