@@ -324,7 +324,8 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
         # stdout is flushed again at exit: point it at devnull

@@ -18,10 +18,10 @@ the translations, tested all-pairs; the closed-form description
 an independent check, and the tests count the maxima by double cosets
 (``tests/oracles.py``).
 ``speciality_report`` builds each alcove closure, the affine ball and the
-length-zero representatives once and shares them between the facets, and
-keeps one double-coset memo per facet for every mu and the parity pass, and
-expands each element's deletions once; the neighbours s g, g s are cached
-on the elements themselves (``iwahori``).
+length-zero representatives once and shares them between the facets.
+Every per-element fact lives in ``iwahori``: an element caches its
+deletions and neighbours, and the group its double-coset representatives
+per J, so the closures of nested mu and the parity pass reuse them.
 """
 
 from functools import cached_property
@@ -217,34 +217,16 @@ def admissible_set(group, mu, facet=None, length_cap=64):
     double-coset representatives.  ``length_cap`` bounds the length of the
     translations (the enumeration blows up combinatorially beyond it).
     """
-    return _relative(group, mu, facet, _alcove(group, mu, length_cap), {})
+    return _relative(group, mu, facet, _alcove(group, mu, length_cap))
 
 
-def _deletions(group, g):
-    """The elements s_1 ... (s_k omitted) ... s_n omega, for k = 1 .. n, of a
-    reduced word g = s_1 ... s_n omega: each is prefix(k-1) * suffix(k+1)."""
-    om, letters = g.reduced_word()
-    simple = [group.simple_affine_element(i) for i in letters]
-    n = len(simple)
-    # suffix[n - 1 - k] = s_{k+2} ... s_n omega, what follows letter k + 1
-    suffix = [om]
-    for s in reversed(simple[1:]):
-        suffix.append(s * suffix[-1])
-    prefix = None
-    for k in range(n):
-        tail = suffix[n - 1 - k]
-        yield tail if prefix is None else prefix * tail
-        prefix = simple[k] if prefix is None else prefix * simple[k]
-
-
-def _alcove(group, mu, length_cap, deletions=None):
+def _alcove(group, mu, length_cap):
     """(closure, maxima) of the alcove Adm(mu).
 
     The closure list starts with the translations by the projected orbit
     and then holds their one-letter deletions, breadth first.  Every other
     item lies strictly below a translation (subword property), and the
     translations all have one length, so the maxima are the translations.
-    ``deletions(g)`` may replace ``_deletions(group, g)``, to memoize it.
     """
     lam = _lambda_classes(group, mu)
     tops = [group.translation(c) for c in lam]
@@ -252,56 +234,26 @@ def _alcove(group, mu, length_cap, deletions=None):
         if t.length > length_cap:
             raise CapExceededError(
                 f"translation length {t.length} exceeds cap {length_cap}")
-    adm = closure(tops, deletions or (lambda g: _deletions(group, g)))
+    adm = closure(tops, lambda g: g.deletions())
     _check_one_component(group, adm)
     return adm, list(dict.fromkeys(tops))
 
 
-def _relative(group, mu, facet, alcove, rep_of):
+def _relative(group, mu, facet, alcove):
     """The AdmissibleSet relative to the facet, from the alcove closure.
 
     The maxima relative to the facet are the Bruhat maxima of the images of
     the alcove maxima (the translations): every element of the projected
     set is dc_rep(g) for some g below a translation, and ``dc_rep`` is
-    monotone for the Bruhat order.  ``rep_of`` is the facet's ``_dc_reps``
-    memo, which the caller may share between several projections.
+    monotone for the Bruhat order.
     """
     adm, maxima = alcove
     if facet is not None and facet.letters:
-        adm = {rep for _, rep in _dc_reps(group, adm, facet.letters, rep_of)}
+        rep_of = dict(group.dc_reps(adm, facet.letters))
+        adm = set(rep_of.values())
         _check_one_component(group, adm)
         maxima = bruhat_maxima(group, {rep_of[t] for t in maxima})
     return AdmissibleSet(repr(mu), facet, frozenset(adm), frozenset(maxima))
-
-
-def _dc_reps(group, elements, letters, rep_of=None):
-    """(g, dc_rep(g)) for the elements, in a stable sort by length.
-
-    ``rep_of`` maps elements to their representatives; it is filled as the
-    elements are visited, and an element already in it costs one lookup.
-    s_j g and g s_j (j in J) lie in the double coset W_J g W_J, so a
-    representative found for either is reused.  When the elements form a
-    Bruhat lower ideal, an element with a descent in J meets its shorter
-    neighbour, which lies in the ideal and was visited first; so ``dc_rep``
-    runs only on the minimal element of a double coset, and, with one memo
-    kept over several lower ideals, once per double coset over all of them.
-    A torsion twin t (``_torsion_twin``) is central of length zero, so
-    dc_rep(g t) = dc_rep(g) t, and the report projects no twin of a set.
-    """
-    rep_of = {} if rep_of is None else rep_of
-    for g in sorted(elements, key=lambda g: g.length):
-        rep = rep_of.get(g)
-        if rep is None:
-            for j in letters:
-                rep = rep_of.get(group.left_neighbour(j, g))
-                if rep is None:
-                    rep = rep_of.get(group.right_neighbour(g, j))
-                if rep is not None:
-                    break
-            if rep is None:
-                rep = group.dc_rep(g, letters)
-            rep_of[g] = rep
-        yield g, rep
 
 
 def _check_one_component(group, elements):
@@ -359,7 +311,7 @@ def parity_check(group, facet, bound):
     Components are indexed by the torsion part of pi1(G)_I; free central
     directions translate the picture without changing lengths.
     """
-    return _parity(group, facet, _components(group, bound), {})
+    return _parity(group, facet, _components(group, bound))
 
 
 def _components(group, bound):
@@ -382,11 +334,11 @@ def _torsion_twin(group, t):
         s.element * t == t * s.element for s in group.simple_affine)
 
 
-def _parity(group, facet, components, rep_of):
+def _parity(group, facet, components):
     for members in components:
         parities = {}
-        # _dc_reps keeps the (length, key) order of the members
-        for u, rep in _dc_reps(group, members, facet.letters, rep_of):
+        # dc_reps keeps the (length, key) order of the members
+        for u, rep in group.dc_reps(members, facet.letters):
             if rep != u:
                 continue
             p = u.length % 2
@@ -441,16 +393,6 @@ def speciality_report(group, mu_sample=None, bound=None, length_cap=64):
         bound = 2 + max((group.translation(c).length for c in mu_sample), default=0)
     facets = enumerate_facets(group)
     counts = {facet.letters: [] for facet in facets}
-    # one double-coset memo per facet, for every mu and the parity pass
-    memos = {facet.letters: {} for facet in facets}
-    # the closures of the sample are nested: expand each element once
-    expanded = {}
-
-    def deletions(g):
-        if g not in expanded:
-            expanded[g] = list(_deletions(group, g))
-        return expanded[g]
-
     first = {}
     for i, cls in enumerate(mu_sample):
         k = first.setdefault(getattr(cls, "free", i), i)
@@ -458,16 +400,15 @@ def speciality_report(group, mu_sample=None, bound=None, length_cap=64):
             for n in counts.values():
                 n.append(n[k])
             continue
-        alcove = _alcove(group, cls, length_cap, deletions)
+        alcove = _alcove(group, cls, length_cap)
         for facet in facets:
-            adm = _relative(group, cls, facet, alcove, memos[facet.letters])
+            adm = _relative(group, cls, facet, alcove)
             counts[facet.letters].append(len(adm.maxima))
     components = _components(group, bound)
     rows = []
     for facet in facets:
         special = facet.is_special()
-        parity_ok, witness = _parity(group, facet, components,
-                                     memos[facet.letters])
+        parity_ok, witness = _parity(group, facet, components)
         counted = counts[facet.letters]
         nonunique = [cls for cls, n in zip(mu_sample, counted) if n != 1]
         rows.append({

@@ -302,12 +302,6 @@ class FoldedDatum:
         self.nonreduced = nonreduced
 
     @cached_property
-    def dominance(self):
-        """Dominance order on ``char_coinv``, built once per fold."""
-        from .highest_weight import DominanceOrder  # it imports this module
-        return DominanceOrder(self)
-
-    @cached_property
     def characters(self):
         """Dominant characters with torsion computed so far, by highest weight
         class (``highest_weight.dominant_character_with_torsion`` fills it)."""

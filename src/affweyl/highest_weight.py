@@ -27,9 +27,9 @@ original cocharacter lattice).  The pipeline is:
   the classes with dominant free part and greedily peel dominant
   characters from the top of the dominance order.
 
-A fold's dominance order and its dominant characters with torsion are
-built once and kept on the ``FoldedDatum`` (``dominance``,
-``characters``), so every caller holding the same fold reuses them.
+A fold's dominant characters with torsion are built once and kept on the
+``FoldedDatum`` (``characters``), so every caller holding the same fold
+reuses them.
 """
 
 from math import prod
@@ -287,12 +287,16 @@ class DominanceOrder:
         return _torsion_offset(self.folded, coeffs) == diff.torsion
 
     def _coefficients(self, free_vec):
-        """The integer coefficients of free_vec in the projected simple
-        roots, or None when free_vec is not an integer combination of them."""
-        sol = self.folded.datum._root_coordinates(free_vec)
-        if sol is None or any(x % sol[1] for x in sol[0]):
-            return None
-        return tuple(x // sol[1] for x in sol[0])
+        return _simple_root_coefficients(self.folded.datum, free_vec)
+
+
+def _simple_root_coefficients(datum, free_vec):
+    """The integer coefficients of free_vec in the simple roots of datum, or
+    None when free_vec is not an integer combination of them."""
+    sol = datum._root_coordinates(free_vec)
+    if sol is None or any(x % sol[1] for x in sol[0]):
+        return None
+    return tuple(x // sol[1] for x in sol[0])
 
 
 # -- disconnected groups: torsion lifting ------------------------------------------
@@ -317,7 +321,6 @@ def extend_by_component_twist(char, mu_cls, folded):
     component group itself is folded.component_group.
     """
     co = folded.char_coinv
-    order = folded.dominance
     height = folded.datum.two_rho_check
     if char.entries:
         top = max(char.entries, key=lambda w: (dot(height, w), w))
@@ -327,7 +330,7 @@ def extend_by_component_twist(char, mu_cls, folded):
             raise PeelingError("highest weight multiplicity is not 1")
     out = WeightMultiset()
     for w, m in char.entries.items():
-        coeffs = order._coefficients(vec_sub(mu_cls.free, w))
+        coeffs = _simple_root_coefficients(folded.datum, vec_sub(mu_cls.free, w))
         if coeffs is None:
             raise PeelingError("inconsistent torsion offset: weight does not "
                                "differ from the highest weight by roots")

@@ -27,12 +27,14 @@ than corrupting lengths.
 
 A group holds one object per element, keyed by (class, W0 index), so
 equality is identity (``setdefault`` makes threads agree on the object).
-An element caches its length, reduced word and neighbours s g, g s (s
-simple affine), each made when first asked for; s (s g) = g fills the
-reverse slot too.  No value changes after construction: a group's tables
-and walls, an element's class and finite part, a class's coordinates.  Only
-caches change (the elements' and the W0 products'), and each entry is
-filled once, with the value any later fill would give.
+An element caches its length, reduced word, one-letter deletions and
+neighbours s g, g s (s simple affine), each made when first asked for;
+s (s g) = g fills the reverse slot too.  The group keeps, per set of letters
+J, each element's double-coset representative (``dc_reps``).  No value
+changes after construction: a group's tables and walls, an element's class
+and finite part, a class's coordinates.  Only caches change (the elements',
+the group's and the W0 products'), and each entry is filled once, with the
+value any later fill would give.
 
 Products
 --------
@@ -133,7 +135,8 @@ class IwahoriWeylElement:
     """Element (translation class, finite part) of an Iwahori-Weyl group;
     it hashes by its key, so sets of elements keep one order across runs."""
 
-    __slots__ = ("group", "cls", "w", "_hash", "_len", "_word", "_omega", "_next")
+    __slots__ = ("group", "cls", "w", "_hash", "_len", "_word", "_omega", "_next",
+                 "_dels")
 
     def __init__(self, group, cls, w, key):
         self.group = group
@@ -145,6 +148,7 @@ class IwahoriWeylElement:
         self._omega = None
         # s g for each simple affine s, then g s, by the group's slot numbers
         self._next = None
+        self._dels = None
 
     def key(self):
         return (self.cls.free, self.cls.torsion, self.w.index)
@@ -183,6 +187,27 @@ class IwahoriWeylElement:
         if self._omega is None:
             self.reduced_word()
         return self._omega
+
+    def deletions(self):
+        """The elements s_1 ... (s_k omitted) ... s_n omega, for k = 1 .. n,
+        of the reduced word self = s_1 ... s_n omega, made once: each is
+        prefix(k-1) * suffix(k+1)."""
+        if self._dels is None:
+            om, letters = self.reduced_word()
+            simple = [self.group.simple_affine_element(i) for i in letters]
+            n = len(simple)
+            # suffix[n - 1 - k] = s_{k+2} ... s_n omega, what follows letter k + 1
+            suffix = [om]
+            for s in reversed(simple[1:]):
+                suffix.append(s * suffix[-1])
+            out = []
+            prefix = None
+            for k in range(n):
+                tail = suffix[n - 1 - k]
+                out.append(tail if prefix is None else prefix * tail)
+                prefix = simple[k] if prefix is None else prefix * simple[k]
+            self._dels = out
+        return self._dels
 
     def affine_part(self):
         """self * omega^{-1}, which lies in the affine Weyl group."""
@@ -229,6 +254,8 @@ class IwahoriWeylGroup:
         self.name = name or (action.datum.name + "-iw")
         self.coinv = coinvariants(action, "cocharacters")
         self._elements = {}
+        # one {g: dc_rep(g, J)} per set of letters J, filled by dc_reps
+        self._dc_memos = {}
         self._build_pi1()
         self._build_relative_roots()
         self._build_walls(wall_table)
@@ -560,20 +587,19 @@ class IwahoriWeylGroup:
     # -- Bruhat order -----------------------------------------------------------
 
     def bruhat_leq(self, u, v):
-        """Subword criterion on one fixed reduced word of v."""
-        if u.omega != v.omega:
+        """Subword criterion on v's reduced word v = s_1 ... s_n omega: u <= v
+        iff u, stepping down to s_i u at each letter where that is shorter,
+        ends at omega.  Right multiplication by omega keeps lengths, and u in
+        another component never reaches omega."""
+        if u.length > v.length:
             return False
-        ua = u.affine_part()
-        va = v.affine_part()
-        if ua.length > va.length:
-            return False
-        _, letters = va.reduced_word()
-        cur = ua
+        om, letters = v.reduced_word()
+        cur = u
         for i in letters:
             su = self.left_neighbour(i, cur)
             if su.length < cur.length:
                 cur = su
-        return cur.is_identity()
+        return cur == om
 
     # -- Kottwitz morphism -------------------------------------------------------
 
@@ -616,6 +642,33 @@ class IwahoriWeylGroup:
         """The representative of maximal length among the minimal-length
         representatives over the double coset W_J g W_J."""
         return self.min_coset_rep(self.double_coset_max(g, letters), letters)
+
+    def dc_reps(self, elements, letters):
+        """(g, dc_rep(g)) for the elements, in a stable sort by length.
+
+        The group keeps one memo of representatives per J, filled as the
+        elements are visited; an element already in it costs one lookup.
+        s_j g and g s_j (j in J) lie in the double coset W_J g W_J, so a
+        representative found for either is reused.  When the elements form a
+        Bruhat lower ideal, an element with a descent in J meets its shorter
+        neighbour, which lies in the ideal and was visited first; so
+        ``dc_rep`` runs only on the minimal element of a double coset, and,
+        over several lower ideals, once per double coset over all of them.
+        """
+        rep_of = self._dc_memos.setdefault(frozenset(letters), {})
+        for g in sorted(elements, key=lambda g: g.length):
+            rep = rep_of.get(g)
+            if rep is None:
+                for j in letters:
+                    rep = rep_of.get(self.left_neighbour(j, g))
+                    if rep is None:
+                        rep = rep_of.get(self.right_neighbour(g, j))
+                    if rep is not None:
+                        break
+                if rep is None:
+                    rep = self.dc_rep(g, letters)
+                rep_of[g] = rep
+            yield g, rep
 
     # -- dominance on classes -------------------------------------------------------
 

@@ -22,6 +22,7 @@ from conftest import child_env
 from oracles import double_coset_count, restricted_lines, subword_downset
 
 PRESETS = ["a1-sc", "a1-ad", "a2-sc", "c2-sc", "g2", "folded-a3"]
+BRUHAT_PRESETS = ["a1-sc", "a1-ad", "a2-sc"]
 
 _groups = {}
 
@@ -153,7 +154,7 @@ def test_criterion_5_projected_orbit_maxima():
 def test_criterion_6_bruhat_oracle():
     """bruhat_leq agrees with the exhaustive all-reduced-words subword
     oracle on every pair with l <= 8; exact."""
-    for name in ("a1-sc", "a1-ad", "a2-sc"):
+    for name in BRUHAT_PRESETS:
         group = grp(name)
         ball = group_elements_up_to(group, 8)
         downsets = {v: subword_downset(group, v) for v in ball}
@@ -250,10 +251,26 @@ def test_criterion_9_cli_determinism():
     print("ACCEPTANCE 9 (CLI determinism and selftest): PASS")
 
 
-# The shipped presets PRESETS leaves out.  Criteria 3 and 4 run on each of
+# The shipped presets PRESETS leaves out.  Criteria 1 to 4 run on each of
 # them, one test per preset, with the assertions of the tests above.
 OTHER_PRESETS = ["a1xa1-sc", "a2-ad", "a3-sc", "d3", "folded-a2", "folded-d3",
                  "t1", "t1-inv"]
+# Criterion 6 runs on every shipped preset but a3-sc (5.0 s) and d3 (10.1 s),
+# whose balls of radius 8 make the all-reduced-words oracle slow.
+OTHER_BRUHAT_PRESETS = ["a1xa1-sc", "a2-ad", "c2-sc", "folded-a2", "folded-a3",
+                        "folded-d3", "g2", "t1", "t1-inv"]
+
+
+@pytest.mark.parametrize("name", OTHER_PRESETS)
+def test_criterion_1_on_other_presets(name, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "PRESETS", [name])
+    test_criterion_1_length_concordance()
+
+
+@pytest.mark.parametrize("name", OTHER_PRESETS)
+def test_criterion_2_on_other_presets(name, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "PRESETS", [name])
+    test_criterion_2_coset_length_formula()
 
 
 @pytest.mark.parametrize("name", OTHER_PRESETS)
@@ -266,6 +283,12 @@ def test_criterion_3_on_other_presets(name, monkeypatch):
 def test_criterion_4_on_other_presets(name, monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "PRESETS", [name])
     test_criterion_4_speciality_criteria()
+
+
+@pytest.mark.parametrize("name", OTHER_BRUHAT_PRESETS)
+def test_criterion_6_on_other_presets(name, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "BRUHAT_PRESETS", [name])
+    test_criterion_6_bruhat_oracle()
 
 
 def dual_fold(group):

@@ -21,7 +21,7 @@ from affweyl.root_data import BasedRootDatum
 from conftest import child_env
 from oracles import (fraction_left_inverse, fraction_reduce,
                      full_character_with_torsion, full_weight_peel)
-from test_branch_cli import POOL
+from test_branch_cli import POOL, POOL_SIZES
 from test_branch_closure import FOLDS, _dominant
 
 SAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
@@ -125,21 +125,28 @@ def test_integer_reduction_matches_the_fraction_reduction(case):
 
 
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
 import affweyl.cli
 def loaded():
     return [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
 out = [loaded()]
 codes = set()
+wrong = []
 with open(sys.argv[1]) as f:
     pool = json.load(f)
 runs = (pool["branch"], pool["adm"],
         [{"argv": ["report", "--preset", "d3", "--format", "json"]}])
 for entries in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes |= {affweyl.cli.main(list(e["argv"])) for e in entries}
+    for e in entries:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            codes.add(affweyl.cli.main(list(e["argv"])))
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        if "sha256" in e and digest != e["sha256"]:
+            wrong.append(e["argv"])
     out.append(loaded())
-print(json.dumps([sorted(codes)] + out))
+sizes = {w: len(pool[w]) for w in ("branch", "adm")}
+print(json.dumps([sorted(codes), sizes, wrong] + out))
 """
 
 
@@ -148,10 +155,14 @@ def test_cli_and_branch_pool_run_without_fractions():
     branch/char pool command, every adm pool command (a3-sc, d3) and
     ``report --preset d3`` without loading fractions, decimal or numbers:
     rationals are integer vectors over a denominator, and only a folded
-    group's stride text is parsed as a Fraction."""
+    group's stride text is parsed as a Fraction.  Each pool command prints
+    the bytes its digest pins (the report pool, whose folded presets parse
+    their strides, replays in ``test_branch_cli``)."""
     r = subprocess.run([sys.executable, "-S", "-c", CHILD, POOL],
                        capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr
-    # exit codes, then the modules loaded after the import, the branch
-    # pool, the adm pool and the report
-    assert json.loads(r.stdout) == [[0], [], [], [], []]
+    # exit codes, the pool sizes, the commands whose digest differs, then
+    # the modules loaded after the import, the branch pool, the adm pool
+    # and the report
+    sizes = {w: POOL_SIZES[w] for w in ("branch", "adm")}
+    assert json.loads(r.stdout) == [[0], sizes, [], [], [], [], []]

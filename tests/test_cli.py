@@ -140,6 +140,22 @@ def test_help_into_a_closed_pipe_exits_141_silently():
     assert (r.returncode, r.stderr) == (141, b"")
 
 
+@pytest.mark.parametrize("args, code, stderr", [
+    (("list-presets",), 0, ""),
+    (("adm", "--preset", "a1-sc", "--mu", "1"), 0, ""),
+    (("wgroup", "length", "--preset", "a1-sc", "--element", "garbage"), 2,
+     "error[cli.element_syntax]: cannot parse element part 'garbage'\n"),
+])
+def test_stdout_closed_at_start_keeps_the_exit_code(args, code, stderr):
+    """With file descriptor 1 closed before the start (``>&-``),
+    ``sys.stdout`` is None: the output goes nowhere, and the command exits
+    with its own code and no traceback."""
+    r = subprocess.run(CMD + list(args), stderr=subprocess.PIPE, text=True,
+                       env=child_env(), preexec_fn=lambda: os.close(1),
+                       timeout=120)
+    assert (r.returncode, r.stderr) == (code, stderr)
+
+
 def test_exception_escaping_main_takes_the_ordinary_exit():
     code = ("import affweyl.cli as cli\n"
             "def boom(argv=None):\n"
