@@ -97,14 +97,14 @@ def _nonnegative_int(text):
     return value
 
 
-def _class_for_group(group, coords):
-    """Absolute cocharacter (rank-many ints) or class coordinates."""
+def _mu_for_group(group, coords):
+    """Class coordinates as a class, else rank-many ints as a cocharacter."""
     n = group.datum.rank
     need = group.coinv.free_rank + len(group.coinv.torsion)
     if len(coords) == need:
         return group.class_from_coords(coords)
     if len(coords) == n:
-        return group.project_cocharacter(coords)
+        return coords
     raise CoordinateCountError(
         f"mu needs {n} (absolute) or {need} (class) coordinates")
 
@@ -171,7 +171,7 @@ def cmd_wgroup(args):
 def cmd_adm(args):
     group = load_group(args.preset)
     facet = fc.Facet(group, args.facet)
-    mu = _class_for_group(group, args.mu)
+    mu = _mu_for_group(group, args.mu)
     adm = fc.admissible_set(group, mu, facet, length_cap=args.cap)
     rows = sorted(({"element": group.element_to_string(g), "length": g.length,
                     "maximal": g in adm.maxima} for g in adm.elements),
@@ -258,7 +258,7 @@ def cmd_char(args):
 
 def cmd_selftest(args):
     from .selftest import run_selftest
-    return run_selftest(verbose=True)
+    return run_selftest()
 
 
 def _arg(*flags, **kwargs):
@@ -292,7 +292,7 @@ COMMANDS = {
                 _FORMAT]),
     "char": (cmd_char, "weight multiset of an irreducible",
              [_PRESET, _arg("--action", default=None), _MU, _FORMAT]),
-    "selftest": (cmd_selftest, "run the invariant battery", [_FORMAT]),
+    "selftest": (cmd_selftest, "run the invariant battery", []),
 }
 
 

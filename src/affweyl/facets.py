@@ -7,11 +7,11 @@ criterion (W_{0,J} = W_0) and cross-checked against the parallel-wall
 definition; a disagreement aborts, since it can only mean a broken preset.
 
 Admissible sets are computed from their definition: downward Bruhat closure
-of the translations by the projected orbit for the alcove, then the
-max-min double-coset representatives relative to J.  The closure steps by
-one-letter deletions of a reduced word, so every item lies below a
-translation, and the translations, all of one length, are the alcove
-maxima.  ``dc_rep`` is monotone for the Bruhat order, so the maxima
+of the translations by Lambda_mu (the W0-orbit of mu's dominant class) for
+the alcove, then the max-min double-coset representatives relative to J.
+The closure steps by one-letter deletions of a reduced word, so every item
+lies below a translation, and the translations, all of one length, are the
+alcove maxima.  ``dc_rep`` is monotone for the Bruhat order, so the maxima
 relative to a facet are the Bruhat maxima of the at most |W0| images of
 the translations, tested all-pairs; the closed-form description
 (translations by the J-dominant orbit representatives) stays available as
@@ -166,42 +166,37 @@ def enumerate_facets(group):
     return out
 
 
-def lambda_mu(group, mu):
-    """Projected translation classes indexing the admissible set of mu.
-
-    ``mu`` is an absolute cocharacter; the result depends only on its
-    absolute Weyl orbit and equals the relative orbit of the projected
-    dominant representative.
-    """
-    datum = group.datum
-    dom, _ = datum.weyl.dominant_representative(mu)
-    base = group.coinv.project(dom)
-    return group.w0_orbit(base)
-
-
-def _lambda_classes(group, mu):
+def _dominant(group, mu):
+    """The dominant class naming mu's admissible sets: the projection of an
+    absolute cocharacter's W-dominant representative, or the dominant
+    member of a class's W0-orbit."""
     if hasattr(mu, "free"):
-        return group.w0_orbit(group.dominant_class(mu))
-    return lambda_mu(group, tuple(mu))
+        return group.dominant_class(mu)
+    dom, _ = group.datum.weyl.dominant_representative(tuple(mu))
+    return group.coinv.project(dom)
+
+
+def lambda_mu(group, mu):
+    """Lambda_mu, the translation classes indexing the admissible set of mu
+    (an absolute cocharacter or a class): the W0-orbit of mu's dominant
+    class, so it depends only on mu's absolute (or W0-) orbit."""
+    return group.w0_orbit(_dominant(group, mu))
 
 
 class AdmissibleSet:
     """Elements and Bruhat maxima of an admissible set; sets compare by
-    (mu_description, facet, elements, maxima) and are unhashable."""
+    (elements, maxima) and are unhashable."""
 
     __hash__ = None
 
-    def __init__(self, mu_description, facet, elements, maxima):
-        self.mu_description = mu_description
-        self.facet = facet
+    def __init__(self, elements, maxima):
         self.elements = elements
         self.maxima = maxima
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.mu_description, self.facet, self.elements, self.maxima) == \
-            (other.mu_description, other.facet, other.elements, other.maxima)
+        return (self.elements, self.maxima) == (other.elements, other.maxima)
 
     @property
     def size(self):
@@ -212,24 +207,23 @@ def admissible_set(group, mu, facet=None, length_cap=64):
     """The mu-admissible set relative to a facet (alcove when facet is None).
 
     mu may be an absolute cocharacter (tuple) or a coinvariant class.  The
-    alcove case is the downward Bruhat closure of the translations by the
-    projected orbit; for a general facet the elements are the max-min
+    alcove case is the downward Bruhat closure of the translations by
+    Lambda_mu; for a general facet the elements are the max-min
     double-coset representatives.  ``length_cap`` bounds the length of the
     translations (the enumeration blows up combinatorially beyond it).
     """
-    return _relative(group, mu, facet, _alcove(group, mu, length_cap))
+    return _relative(group, facet, _alcove(group, _dominant(group, mu), length_cap))
 
 
-def _alcove(group, mu, length_cap):
-    """(closure, maxima) of the alcove Adm(mu).
+def _alcove(group, cls, length_cap):
+    """(closure, maxima) of the alcove Adm(mu), cls mu's dominant class.
 
-    The closure list starts with the translations by the projected orbit
-    and then holds their one-letter deletions, breadth first.  Every other
+    The closure list starts with the translations by Lambda_mu and then
+    holds their one-letter deletions, breadth first.  Every other
     item lies strictly below a translation (subword property), and the
     translations all have one length, so the maxima are the translations.
     """
-    lam = _lambda_classes(group, mu)
-    tops = [group.translation(c) for c in lam]
+    tops = [group.translation(c) for c in group.w0_orbit(cls)]
     for t in tops:
         if t.length > length_cap:
             raise CapExceededError(
@@ -239,7 +233,7 @@ def _alcove(group, mu, length_cap):
     return adm, list(dict.fromkeys(tops))
 
 
-def _relative(group, mu, facet, alcove):
+def _relative(group, facet, alcove):
     """The AdmissibleSet relative to the facet, from the alcove closure.
 
     The maxima relative to the facet are the Bruhat maxima of the images of
@@ -253,7 +247,7 @@ def _relative(group, mu, facet, alcove):
         adm = set(rep_of.values())
         _check_one_component(group, adm)
         maxima = bruhat_maxima(group, {rep_of[t] for t in maxima})
-    return AdmissibleSet(repr(mu), facet, frozenset(adm), frozenset(maxima))
+    return AdmissibleSet(frozenset(adm), frozenset(maxima))
 
 
 def _check_one_component(group, elements):
@@ -288,9 +282,8 @@ def maximal_admissible(group, mu, facet, length_cap=64):
 
 def predicted_maxima(group, mu, facet):
     """Closed-form description of the maxima: translations by the
-    facet-dominant representatives of the orbit of the projected class."""
-    lam = _lambda_classes(group, mu)
-    reps = {facet.facet_dominant_rep(c) for c in lam}
+    facet-dominant representatives of Lambda_mu."""
+    reps = {facet.facet_dominant_rep(c) for c in lambda_mu(group, mu)}
     return {group.translation(c) for c in reps}
 
 
@@ -383,26 +376,28 @@ def speciality_report(group, mu_sample=None, bound=None, length_cap=64):
     can in principle miss a witness, so disagreement is reported rather
     than raised).
 
-    Two classes of the sample with one free part differ by a torsion class
-    tau.  If t^tau is a torsion twin, Adm(mu + tau) = Adm(mu) t^tau relative
-    to every facet, so the later class takes the earlier one's counts.
+    Sample entries (classes or cocharacters) are compared by their dominant
+    classes.  Two with one free part differ by a torsion class tau.  If
+    t^tau is a torsion twin, Adm(mu + tau) = Adm(mu) t^tau relative to
+    every facet, so the later entry takes the earlier one's counts.
     """
     if mu_sample is None:
         mu_sample = default_mu_sample(group)
+    classes = [_dominant(group, mu) for mu in mu_sample]
     if bound is None:
-        bound = 2 + max((group.translation(c).length for c in mu_sample), default=0)
+        bound = 2 + max((group.translation(c).length for c in classes), default=0)
     facets = enumerate_facets(group)
     counts = {facet.letters: [] for facet in facets}
     first = {}
-    for i, cls in enumerate(mu_sample):
-        k = first.setdefault(getattr(cls, "free", i), i)
-        if k != i and _torsion_twin(group, group.translation(cls - mu_sample[k])):
+    for i, cls in enumerate(classes):
+        k = first.setdefault(cls.free, i)
+        if k != i and _torsion_twin(group, group.translation(cls - classes[k])):
             for n in counts.values():
                 n.append(n[k])
             continue
         alcove = _alcove(group, cls, length_cap)
         for facet in facets:
-            adm = _relative(group, cls, facet, alcove)
+            adm = _relative(group, facet, alcove)
             counts[facet.letters].append(len(adm.maxima))
     components = _components(group, bound)
     rows = []

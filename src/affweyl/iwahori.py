@@ -205,7 +205,8 @@ class IwahoriWeylElement:
             for k in range(n):
                 tail = suffix[n - 1 - k]
                 out.append(tail if prefix is None else prefix * tail)
-                prefix = simple[k] if prefix is None else prefix * simple[k]
+                if k + 1 < n:  # the whole word's product would go unread
+                    prefix = simple[k] if prefix is None else prefix * simple[k]
             self._dels = out
         return self._dels
 

@@ -18,17 +18,16 @@ GROUP_PRESETS = ["a1-sc", "a1-ad", "a2-sc", "a2-ad", "a3-sc", "c2-sc", "g2",
                  "t1", "t1-inv"]
 
 
-def _check(label, ok, verbose):
-    if verbose:
-        print(("ok   " if ok else "FAIL ") + label)
+def _check(label, ok):
+    print(("ok   " if ok else "FAIL ") + label)
     if not ok:
         raise AssertionError(label)
 
 
-def run_selftest(verbose=False):
+def run_selftest():
     for name in GROUP_PRESETS:
         group = load_group(name)
-        _check(f"{name}: preset builds and validates", True, verbose)
+        _check(f"{name}: preset builds and validates", True)
         co = group.coinv
         box = range(-2, 3)
         sample = []
@@ -38,30 +37,27 @@ def run_selftest(verbose=False):
         ok = all(group.translation(c).length ==
                  group.pairing_two_rho(group.dominant_class(c))
                  for c in sample)
-        _check(f"{name}: translation lengths match <mu_dom, 2rho>", ok, verbose)
+        _check(f"{name}: translation lengths match <mu_dom, 2rho>", ok)
         ball = group.affine_ball(5)
         ok = all(len(g.reduced_word()[1]) == g.length for g in ball)
-        _check(f"{name}: word length = separating-wall count (<=5)", ok, verbose)
+        _check(f"{name}: word length = separating-wall count (<=5)", ok)
         ok = all(group.kottwitz(s.element).is_zero()
                  for s in group.simple_affine)
-        _check(f"{name}: simple affine reflections lie in ker(kottwitz)",
-               ok, verbose)
+        _check(f"{name}: simple affine reflections lie in ker(kottwitz)", ok)
         for facet in fc.enumerate_facets(group):
             facet.is_special()  # raises when the two criteria disagree
-        _check(f"{name}: speciality criteria agree on all facets", True, verbose)
+        _check(f"{name}: speciality criteria agree on all facets", True)
     # highest-weight spot checks
     act = load_action("a1xa1-sc", "swap")
     fd = fold(act)
     dec = hw.restrict_to_fixed_group(act.datum, act, (1, 1), fd)
     ok = [(c.free, m) for c, m in dec] == [((2,), 1), ((0,), 1)]
-    _check("a1xa1 swap: restriction reproduces the tensor-square split",
-           ok, verbose)
+    _check("a1xa1 swap: restriction reproduces the tensor-square split", ok)
     act = load_action("d3", "swap")
     fd = fold(act)
     mu = fd.char_coinv.make((0, 1), (0,))
     ch = hw.character_with_torsion(fd, mu)
     ok = hw.induced_dimension(fd, mu) == 2 * ch.dimension()
-    _check("d3 swap: induction dimension is |pi0| * dim", ok, verbose)
-    if verbose:
-        print("selftest passed for %d presets" % len(GROUP_PRESETS))
+    _check("d3 swap: induction dimension is |pi0| * dim", ok)
+    print("selftest passed for %d presets" % len(GROUP_PRESETS))
     return 0

@@ -23,6 +23,7 @@ from oracles import double_coset_count, restricted_lines, subword_downset
 
 PRESETS = ["a1-sc", "a1-ad", "a2-sc", "c2-sc", "g2", "folded-a3"]
 BRUHAT_PRESETS = ["a1-sc", "a1-ad", "a2-sc"]
+BRUHAT_RADIUS = 8
 
 _groups = {}
 
@@ -153,10 +154,10 @@ def test_criterion_5_projected_orbit_maxima():
 
 def test_criterion_6_bruhat_oracle():
     """bruhat_leq agrees with the exhaustive all-reduced-words subword
-    oracle on every pair with l <= 8; exact."""
+    oracle on every pair with l <= 8 (BRUHAT_RADIUS); exact."""
     for name in BRUHAT_PRESETS:
         group = grp(name)
-        ball = group_elements_up_to(group, 8)
+        ball = group_elements_up_to(group, BRUHAT_RADIUS)
         downsets = {v: subword_downset(group, v) for v in ball}
         for v in ball:
             dv = downsets[v]
@@ -255,10 +256,12 @@ def test_criterion_9_cli_determinism():
 # them, one test per preset, with the assertions of the tests above.
 OTHER_PRESETS = ["a1xa1-sc", "a2-ad", "a3-sc", "d3", "folded-a2", "folded-d3",
                  "t1", "t1-inv"]
-# Criterion 6 runs on every shipped preset but a3-sc (5.0 s) and d3 (10.1 s),
-# whose balls of radius 8 make the all-reduced-words oracle slow.
+# Criterion 6 runs at radius 8 on every shipped preset but a3-sc and d3,
+# whose balls of radius 8 make the all-reduced-words oracle slow (5-10 s
+# each); those two run at radius 6 (195 and 390 elements).
 OTHER_BRUHAT_PRESETS = ["a1xa1-sc", "a2-ad", "c2-sc", "folded-a2", "folded-a3",
                         "folded-d3", "g2", "t1", "t1-inv"]
+LARGE_BRUHAT_PRESETS = ["a3-sc", "d3"]
 
 
 @pytest.mark.parametrize("name", OTHER_PRESETS)
@@ -288,6 +291,13 @@ def test_criterion_4_on_other_presets(name, monkeypatch):
 @pytest.mark.parametrize("name", OTHER_BRUHAT_PRESETS)
 def test_criterion_6_on_other_presets(name, monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "BRUHAT_PRESETS", [name])
+    test_criterion_6_bruhat_oracle()
+
+
+@pytest.mark.parametrize("name", LARGE_BRUHAT_PRESETS)
+def test_criterion_6_on_large_presets_at_radius_6(name, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "BRUHAT_PRESETS", [name])
+    monkeypatch.setattr(sys.modules[__name__], "BRUHAT_RADIUS", 6)
     test_criterion_6_bruhat_oracle()
 
 

@@ -222,6 +222,34 @@ def test_adm_facet_is_the_set_of_its_letters(fmt):
         assert json.loads(adm("2,1,2"))["facet"] == [1, 2]
 
 
+@pytest.mark.parametrize("preset, facet, mus", [
+    ("folded-a3", (), ["1,0,0", "0,1,0", "0,0,1", "1,1,1"]),
+    ("folded-a3", (1, 2), ["1,0,0", "0,1,0", "0,0,1", "1,1,1"]),
+    ("folded-a2", (), ["1,0", "0,1", "1,1"]),
+    ("folded-a2", (1,), ["1,0", "0,1", "1,1"]),
+], ids=["folded-a3", "folded-a3-facet", "folded-a2", "folded-a2-facet"])
+def test_adm_mu_names_one_dominant_class(preset, facet, mus):
+    """Absolute cocharacters of one Weyl orbit print one Adm(mu), and its
+    rows are those of ``admissible_set``."""
+    from affweyl import facets as fc
+    from affweyl.presets import load_group
+    outputs = set()
+    for mu in mus:
+        r = run("adm", "--preset", preset, "--facet", ",".join(map(str, facet)),
+                "--mu", mu, "--format", "json")
+        assert r.returncode == 0, r.stderr
+        outputs.add(r.stdout)
+    assert len(outputs) == 1
+    group = load_group(preset)
+    for mu in mus:
+        adm = fc.admissible_set(group, tuple(map(int, mu.split(","))),
+                                fc.Facet(group, facet))
+        rows = sorted(({"element": group.element_to_string(g), "length": g.length,
+                        "maximal": g in adm.maxima} for g in adm.elements),
+                      key=lambda r: (r["length"], r["element"]))
+        assert json.loads(next(iter(outputs)))["rows"] == rows, mu
+
+
 def test_unknown_facet_letter_is_a_named_facet_error():
     r = run("adm", "--preset", "a1-sc", "--facet", "5", "--mu", "1")
     assert r.returncode == 2

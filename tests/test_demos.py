@@ -1,8 +1,10 @@
 """The five demos print the bytes recorded for them: each runs as its own
-interpreter, as a reader runs it, and the sha256 of its stdout is pinned."""
+interpreter, as a reader runs it, and the sha256 of its stdout is pinned.
+The README's CLI examples run too, each as ``python -m affweyl``."""
 
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 
@@ -10,7 +12,8 @@ import pytest
 
 from conftest import child_env
 
-DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = os.path.join(ROOT, "demos")
 
 DIGESTS = {
     "01_root_data_and_weyl_groups.py":
@@ -36,3 +39,21 @@ def test_demo_prints_its_recorded_bytes(demo):
                          capture_output=True, env=child_env())
     assert run.returncode == 0, run.stderr.decode()
     assert hashlib.sha256(run.stdout).hexdigest() == DIGESTS[demo]
+
+
+def readme_cli_examples():
+    """The lines of the ``sh`` block under the README's "## CLI" heading."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_exit_zero():
+    examples = readme_cli_examples()
+    assert len(examples) >= 10 and all(e.startswith("affweyl ") for e in examples)
+    for line in examples:
+        argv = shlex.split(line)[1:]
+        run = subprocess.run([sys.executable, "-m", "affweyl", *argv],
+                             capture_output=True, env=child_env())
+        assert run.returncode == 0, (line, run.stderr.decode())

@@ -117,6 +117,19 @@ def test_lambda_mu(group_of):
         assert fc.lambda_mu(group, v) == lam
 
 
+@pytest.mark.parametrize("name", ["a1-sc", "a1-ad", "a2-sc", "a2-ad", "a3-sc",
+                                  "c2-sc", "g2", "a1xa1-sc", "d3", "t1"])
+def test_split_cocharacters_and_classes_name_one_dominant_class(name, group_of):
+    """On a split preset, rank-many coordinates read as a cocharacter or as
+    class coordinates give one dominant class (``adm --mu`` reads them as a
+    class)."""
+    group = group_of(name)
+    for c in iproduct(range(-1, 2), repeat=group.datum.rank):
+        dom = fc._dominant(group, c)
+        assert group.is_dominant_class(dom)
+        assert dom == fc._dominant(group, group.class_from_coords(c)), c
+
+
 def test_lambda_mu_maximality(group_of):
     """Lambda_mu consists exactly of the Bruhat-maximal classes among the
     projections of the absolute orbit (translation elements compared)."""
@@ -159,6 +172,16 @@ def test_admissible_alcove_equals_relative_version(group_of):
     a = fc.admissible_set(group, (1, 0), alcove)
     b = fc.admissible_set(group, (1, 0), None)
     assert a.elements == b.elements
+    assert a == b
+
+
+def test_admissible_sets_compare_by_contents(group_of):
+    """Sets at two Facet objects of one J, and at W-conjugate spellings of
+    one mu, are equal."""
+    group = group_of("a2-sc")
+    a = fc.admissible_set(group, (1, 0), fc.Facet(group, (1,)))
+    assert a == fc.admissible_set(group, (1, 0), fc.Facet(group, (1,)))
+    assert a == fc.admissible_set(group, (0, 1), fc.Facet(group, (1,)))
 
 
 def test_admissible_cap(group_of):
