@@ -17,13 +17,12 @@ Every vector is exact in integers: a point of V is an integer vector over a
 positive denominator (the base point is p0_num / p0_den), and a relative
 root is the integer covector of a root on the orbit sums of lifts of the
 free basis classes (|Gamma| times the invariant lift).  Hyperplane families
-are stored as integer covectors c with walls {v : c(v) in Z}; a declared
-table entry (direction a, stride s > 0) is normalized to c = a/s.  Split
-groups get one family per positive root with stride 1.  For twisted groups
-the strides are standard declared data; they are validated against
-lattice preservation, Weyl symmetry of the arrangement, and integrality of
-the wall reflections, so a wrong table fails at construction time rather
-than corrupting lengths.
+are integer covectors c with walls {v : c(v) in Z}, one per line of
+relative roots.  A split group takes the covector of each positive root;
+a twisted group takes a declared table (``presets`` reads it from wall
+strides), validated against lattice preservation, Weyl symmetry of the
+arrangement and integrality of the wall reflections, so a wrong table
+fails at construction time rather than corrupting lengths.
 
 A group holds one object per element, keyed by (class, W0 index), so
 equality is identity (``setdefault`` makes threads agree on the object).
@@ -331,24 +330,15 @@ class IwahoriWeylGroup:
         return self.pi1.project(self.coinv.lift(cls))
 
     def _build_walls(self, wall_table):
+        """One family per line from ``wall_table``, a list of integer wall
+        covectors (default: the positive roots', split groups only)."""
         if wall_table is None:
             if not self.action.is_trivial() and self.line_primitives:
                 raise EchelonnageError(
                     "a wall table must be declared for twisted groups")
-            wall_table = []
-            seen_lines = set()
-            for cov, pos in self.rel_roots:
-                if not pos:
-                    continue
-                prim = primitive_covector(cov)
-                if prim in seen_lines:
-                    continue
-                seen_lines.add(prim)
-                wall_table.append((cov, 1))
+            wall_table = [cov for cov, pos in self.rel_roots if pos]
         assigned = {}
-        for cov, stride in wall_table:
-            if stride <= 0:
-                raise EchelonnageError(f"wall stride must be positive, got {stride}")
+        for cov in wall_table:
             prim = primitive_covector(cov)
             line_id = self.line_ids.get(prim)
             if line_id is None or self.line_primitives[line_id] != prim:
@@ -356,12 +346,7 @@ class IwahoriWeylGroup:
                     f"wall direction {cov} is not a relative root direction")
             if line_id in assigned:
                 raise EchelonnageError("duplicate wall entry for a root direction")
-            # cov / stride, stride = p/q
-            p, q = stride.numerator, stride.denominator
-            if any(x * q % p for x in cov):
-                raise EchelonnageError(
-                    "normalized wall covector is not integral; bad stride")
-            assigned[line_id] = tuple(x * q // p for x in cov)
+            assigned[line_id] = cov
         missing = [self.line_primitives[i] for i in range(len(self.line_primitives))
                    if i not in assigned]
         if missing:

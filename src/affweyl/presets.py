@@ -27,15 +27,20 @@ character-side matrices (rows separated by ``;``).
     wall 1 -1 | 1/2
     ...
 
-Each ``wall`` line gives a relative root direction (a covector on the free
-quotient of the cocharacter coinvariants) and its level-set stride.  Split
-groups need no ``.group`` file: every datum name doubles as a split preset
-with the trivial action and stride 1 on every root.
+Each ``wall`` line gives a relative root direction a (a covector on the free
+quotient of the cocharacter coinvariants) and its level-set stride s > 0,
+written ``p`` or ``p/q`` in integers.  The reader normalizes the entry to
+the integer wall covector c = a/s, whose walls are {v : c(v) in Z}; a
+stride that leaves c fractional is refused here.  Split groups need no
+``.group`` file: every datum name doubles as a split preset with the
+trivial action and stride 1 on every root.
 """
 
 import os
+from math import gcd
 
-from .errors import AffweylError, FoldingError, PresetSyntaxError, UnknownPresetError
+from .errors import (AffweylError, EchelonnageError, FoldingError, PresetSyntaxError,
+                     UnknownPresetError)
 from .folding import PinnedAction, trivial_action
 from .iwahori import IwahoriWeylGroup
 from .linalg import identity, mat_mul, mat_transpose
@@ -58,13 +63,18 @@ def _find_file(name, suffix):
     return None
 
 
-def _clean_lines(path):
+def _directives(path, heads):
+    """(head, rest) for each line of a preset file, comments and blank lines
+    dropped; a head outside ``heads`` is a syntax error."""
     with open(path) as f:
         text = f.read()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line
+            head, _, rest = line.partition(" ")
+            if head not in heads:
+                raise PresetSyntaxError(f"{path}: unknown directive {head!r}")
+            yield head, rest.strip()
 
 
 def _ints(text, where):
@@ -83,13 +93,10 @@ def _parse_datum_file(path):
     coroots = []
     actions = {}
     name = os.path.splitext(os.path.basename(path))[0]
-    for line in _clean_lines(path):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for head, rest in _directives(path, ("name", "lattice", "rank", "simples", "root",
+                                         "action")):
         if head == "name":
             name = rest
-        elif head == "lattice":
-            pass
         elif head == "rank":
             values = _ints(rest, f"{path}: rank")
             if len(values) != 1:
@@ -109,8 +116,6 @@ def _parse_datum_file(path):
         elif head == "action":
             aname, _, decl = rest.partition("|")
             actions[aname.strip()] = decl.strip()
-        else:
-            raise PresetSyntaxError(f"{path}: unknown directive {head!r}")
     if rank is None:
         raise PresetSyntaxError(f"{path}: missing rank")
     datum = BasedRootDatum(rank, tuple(roots), tuple(coroots), simples, name=name)
@@ -143,16 +148,35 @@ def _action_matrix(datum, decl, where):
     raise PresetSyntaxError(f"{where}: unknown action declaration {decl!r}")
 
 
+def _wall_covector(rest, where):
+    """The integer covector a * q / p of a ``wall a | p/q`` line."""
+    left, _, right = rest.partition("|")
+    cov = _ints(left, where)
+    stride = right.strip()
+    num, slash, den = stride.partition("/")
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        p = q = 0
+    if p == 0 or q <= 0 or len(stride.split()) > 1:
+        raise PresetSyntaxError(
+            f"{where} stride must be a nonzero rational p or p/q, got {stride!r}")
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    if p < 0:
+        raise EchelonnageError(
+            f"wall stride must be positive, got {p}" + (f"/{q}" if q > 1 else ""))
+    if any(x * q % p for x in cov):
+        raise EchelonnageError("normalized wall covector is not integral; bad stride")
+    return tuple(x * q // p for x in cov)
+
+
 def _parse_group_file(path):
-    # a stride is the one rational a preset carries: only .group files load it
-    from fractions import Fraction
     name = os.path.splitext(os.path.basename(path))[0]
     base = None
     action = None
     walls = []
-    for line in _clean_lines(path):
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for head, rest in _directives(path, ("name", "base", "action", "wall")):
         if head == "name":
             name = rest
         elif head == "base":
@@ -160,38 +184,28 @@ def _parse_group_file(path):
         elif head == "action":
             action = rest
         elif head == "wall":
-            left, _, right = rest.partition("|")
-            cov = _ints(left, f"{path}: wall")
-            try:
-                stride = Fraction(right.strip())
-            except (ValueError, ZeroDivisionError):
-                stride = 0
-            if stride == 0:
-                raise PresetSyntaxError(
-                    f"{path}: wall stride must be a nonzero rational, got {right.strip()!r}")
-            walls.append((cov, stride))
-        else:
-            raise PresetSyntaxError(f"{path}: unknown directive {head!r}")
+            walls.append(_wall_covector(rest, f"{path}: wall"))
     if base is None:
         raise PresetSyntaxError(f"{path}: missing base datum")
     return name, base, action, walls
 
 
-def load_datum(name):
+def _datum_file(name):
+    """(path, datum, actions) of the ``.datum`` preset ``name``."""
     path = _find_file(name, ".datum")
     if path is None:
         raise UnknownPresetError(f"unknown datum preset {name!r}")
-    datum, _ = _parse_datum_file(path)
-    return datum
+    return (path,) + _parse_datum_file(path)
+
+
+def load_datum(name):
+    return _datum_file(name)[1]
 
 
 def load_action(datum_name, action_name):
+    path, datum, actions = _datum_file(datum_name)
     if action_name in (None, "", "trivial"):
-        return trivial_action(load_datum(datum_name))
-    path = _find_file(datum_name, ".datum")
-    if path is None:
-        raise UnknownPresetError(f"unknown datum preset {datum_name!r}")
-    datum, actions = _parse_datum_file(path)
+        return trivial_action(datum)
     if action_name not in actions:
         raise UnknownPresetError(
             f"datum {datum_name!r} has no action {action_name!r}")
@@ -206,8 +220,7 @@ def load_group(name):
         gname, base, action_name, walls = _parse_group_file(path)
         action = load_action(base, action_name)
         return IwahoriWeylGroup(action, wall_table=walls or None, name=gname)
-    datum = load_datum(name)
-    return IwahoriWeylGroup(trivial_action(datum), name=name)
+    return IwahoriWeylGroup(load_action(name, None), name=name)
 
 
 def _catalog_row(p, stem, suffix):

@@ -182,6 +182,21 @@ class BasedRootDatum:
     # -- Weyl group ----------------------------------------------------------
 
     @cached_property
+    def weyl_order(self):
+        """|W| from the root system, without building W (Kostant): with n_k
+        positive roots of height k, k is an exponent n_k - n_{k+1} times,
+        and |W| is the product of m + 1 over the exponents m."""
+        by_height = {}
+        for r in self.positive_roots:
+            num, den = self._root_coordinates(r)
+            k = sum(num) // den
+            by_height[k] = by_height.get(k, 0) + 1
+        order = 1
+        for k, n in by_height.items():
+            order *= (k + 1) ** (n - by_height.get(k + 1, 0))
+        return order
+
+    @cached_property
     def weyl(self):
         return WeylGroup(self)
 
@@ -284,7 +299,7 @@ class FiniteReflectionGroup:
     products actually taken.
     """
 
-    def __init__(self, ident, simple_mats, limit=None):
+    def __init__(self, ident, simple_mats):
         gens = tuple(simple_mats)
         rows = []
 
@@ -293,9 +308,7 @@ class FiniteReflectionGroup:
             rows.append(tuple(mat_mul(g, m) for g in gens))
             return rows[-1]
 
-        bfs = closure([ident], step, limit)
-        if limit is not None and len(bfs) > limit:
-            raise RootDatumError("Weyl group closure exceeded the hard cap")
+        bfs = closure([ident], step)
         mats = sorted(bfs)
         index = {m: i for i, m in enumerate(mats)}
         order = [index[m] for m in bfs]
@@ -356,16 +369,24 @@ class FiniteReflectionGroup:
 
 
 class WeylGroup(FiniteReflectionGroup):
-    """Finite Weyl group of a based root datum, closed on cocharacter matrices."""
+    """Finite Weyl group of a based root datum, closed on cocharacter matrices.
 
-    MAX_ORDER = 1200000
+    The closure keeps every element and its row of generator products, so
+    a datum whose order, read off ``weyl_order``, exceeds ``MAX_ORDER``
+    (A7's, the largest measured to build) is refused before any element is
+    made.
+    """
+
+    MAX_ORDER = 40320
 
     def __init__(self, datum):
+        if datum.weyl_order > self.MAX_ORDER:
+            raise RootDatumError(f"Weyl group of order {datum.weyl_order} exceeds "
+                                 f"the cap of {self.MAX_ORDER} elements")
         self.datum = datum
         gens = [reflection_matrices(datum.roots[i], datum.coroots[i], datum.rank)
                 for i in datum.simples]
-        super().__init__(identity(datum.rank), [cochar for _, cochar in gens],
-                         self.MAX_ORDER)
+        super().__init__(identity(datum.rank), [cochar for _, cochar in gens])
         # character-side matrices, shortest first: w = s_k (s_k w) with k
         # the first letter of w's word
         self.identity.mat_char = identity(datum.rank)

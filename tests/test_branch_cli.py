@@ -1,15 +1,11 @@
-"""The CLI through ``cli.main``: every recorded `report` benchmark command
-prints the bytes its digest pins (the `adm`, `branch` and `char` ones
-replay in ``test_branch_dominant``), and no `branch` or `char` argument
-string gives a traceback or an internal-invariant exit."""
+"""The CLI through ``cli.main``: no `branch` or `char` argument string
+gives a traceback or an internal-invariant exit.  The recorded benchmark
+commands replay in the ``-S`` child of
+``test_branch_dominant.test_cli_and_branch_pool_run_without_fractions``."""
 
 import contextlib
-import hashlib
 import io
-import json
-import os
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from affweyl import cli
@@ -17,34 +13,12 @@ from affweyl.folding import fold
 from affweyl.presets import list_presets, load_action
 from test_branch_closure import FOLDS
 
-POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "perfbench", "pool.json")
-
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     return rc, out.getvalue(), err.getvalue()
-
-
-POOL_SIZES = {"report": 4, "adm": 315, "branch": 305}
-
-
-# The adm and branch pools replay in the -S child of
-# test_cli_and_branch_pool_run_without_fractions (test_branch_dominant),
-# which checks their digests and sizes too.
-@pytest.mark.parametrize("workload", ["report"])
-def test_pool_commands_print_their_recorded_bytes(workload):
-    with open(POOL) as f:
-        pool = json.load(f)[workload]
-    assert len(pool) == POOL_SIZES[workload]
-    wrong = []
-    for entry in pool:
-        rc, out, _ = _run(list(entry["argv"]))
-        if rc != 0 or hashlib.sha256(out.encode()).hexdigest() != entry["sha256"]:
-            wrong.append(entry["argv"])
-    assert not wrong
 
 
 # every (preset, action) the catalog accepts, "trivial" naming the trivial

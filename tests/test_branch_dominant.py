@@ -5,6 +5,7 @@ the torsion against the per-weight twist, the integer row reduction against
 the one over Q, and a CLI that runs without loading `fractions`."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,8 +22,11 @@ from affweyl.root_data import BasedRootDatum
 from conftest import child_env
 from oracles import (fraction_left_inverse, fraction_reduce,
                      full_character_with_torsion, full_weight_peel)
-from test_branch_cli import POOL, POOL_SIZES
 from test_branch_closure import FOLDS, _dominant
+
+POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "perfbench", "pool.json")
+POOL_SIZES = {"report": 4, "adm": 315, "branch": 305}
 
 SAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -134,7 +138,7 @@ codes = set()
 wrong = []
 with open(sys.argv[1]) as f:
     pool = json.load(f)
-runs = (pool["branch"], pool["adm"],
+runs = (pool["branch"], pool["adm"], pool["report"],
         [{"argv": ["report", "--preset", "d3", "--format", "json"]}])
 for entries in runs:
     for e in entries:
@@ -145,24 +149,24 @@ for entries in runs:
         if "sha256" in e and digest != e["sha256"]:
             wrong.append(e["argv"])
     out.append(loaded())
-sizes = {w: len(pool[w]) for w in ("branch", "adm")}
+sizes = {w: len(pool[w]) for w in ("branch", "adm", "report")}
 print(json.dumps([sorted(codes), sizes, wrong] + out))
 """
 
 
 def test_cli_and_branch_pool_run_without_fractions():
     """A fresh interpreter (no site hooks) imports the CLI, then runs every
-    branch/char pool command, every adm pool command (a3-sc, d3) and
+    branch/char pool command, every adm pool command (a3-sc, d3), every
+    report pool command (c2-sc, folded-a3, folded-d3, g2) and
     ``report --preset d3`` without loading fractions, decimal or numbers:
-    rationals are integer vectors over a denominator, and only a folded
-    group's stride text is parsed as a Fraction.  Each pool command prints
-    the bytes its digest pins (the report pool, whose folded presets parse
-    their strides, replays in ``test_branch_cli``)."""
+    rationals are integer vectors over a denominator, and a folded group's
+    wall strides are read as integer covectors.  Each pool command prints
+    the bytes its digest pins."""
     r = subprocess.run([sys.executable, "-S", "-c", CHILD, POOL],
                        capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr
     # exit codes, the pool sizes, the commands whose digest differs, then
-    # the modules loaded after the import, the branch pool, the adm pool
-    # and the report
-    sizes = {w: POOL_SIZES[w] for w in ("branch", "adm")}
-    assert json.loads(r.stdout) == [[0], sizes, [], [], [], [], []]
+    # the modules loaded after the import, the branch, adm and report pools
+    # and the d3 report
+    sizes = {w: POOL_SIZES[w] for w in ("branch", "adm", "report")}
+    assert json.loads(r.stdout) == [[0], sizes, [], [], [], [], [], []]

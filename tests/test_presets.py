@@ -95,6 +95,20 @@ def test_negative_stride_exits_2(tmp_path):
         "Traceback" not in out.stderr
 
 
+def test_decimal_stride_is_a_syntax_error(tmp_path, monkeypatch, capsys):
+    """A stride is written p or p/q in integers; 0.5 is refused, though
+    it is the rational that folded-a2's 1/2 names."""
+    from affweyl import cli
+    with open(os.path.join(DATA_DIR, "folded-a2.group")) as f:
+        text = f.read()
+    assert "wall 1 | 1/2" in text
+    path = tmp_path / "folded-a2.group"
+    path.write_text(text.replace("wall 1 | 1/2", "wall 1 | 0.5"))
+    monkeypatch.setenv("AFFWEYL_PRESET_PATH", str(tmp_path))
+    assert cli.main(["wgroup", "length", "--preset", "folded-a2", "--element", "t[1]"]) == 2
+    assert capsys.readouterr().err.startswith(f"error[presets.syntax]: {path}: wall stride")
+
+
 def test_datum_preset_roundtrip():
     for name in ("a1-sc", "g2", "d3"):
         datum = load_datum(name)

@@ -7,11 +7,14 @@ the raw reflection formula, independently of the WeylGroup machinery.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affweyl.errors import UnknownPresetError
-from affweyl.presets import list_presets, load_datum, load_group
-from affweyl.root_data import closure, reflection_matrices
+from affweyl.errors import RootDatumError, UnknownPresetError
+from affweyl.folding import fold
+from affweyl.presets import list_presets, load_action, load_datum, load_group
+from affweyl.root_data import (FiniteReflectionGroup, WeylGroup, closure,
+                               reflection_matrices)
 from affweyl.linalg import dot, mat_mul, identity, primitive_covector
 from oracles import stabilizer_generators
+from test_branch_closure import FOLDS
 
 
 def brute_weyl_order(datum):
@@ -209,6 +212,25 @@ def test_closure_stops_once_past_the_limit():
     assert visited == [0]
     assert closure([0], lambda x: (x + 1,), limit=5) == [0, 1, 2, 3, 4, 5]
     assert closure([0], lambda x: (x + 1,) if x < 4 else (), limit=5) == [0, 1, 2, 3, 4]
+
+
+def test_weyl_order_formula_matches_the_built_group():
+    """Kostant's count from the root heights equals |W| on every shipped
+    datum and every fold of it."""
+    for name, action in FOLDS:
+        act = load_action(name, action)
+        for datum in (act.datum, fold(act).datum):
+            assert datum.weyl_order == len(datum.weyl.elements), (name, action)
+
+
+def test_weyl_group_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    monkeypatch.setattr(WeylGroup, "MAX_ORDER", 23)
+    a2, a3 = load_datum("a2-sc"), load_datum("a3-sc")
+    assert len(a2.weyl) == 6
+    # a closure started now would fail with a TypeError, not the cap's error
+    monkeypatch.setattr(FiniteReflectionGroup, "__init__", None)
+    with pytest.raises(RootDatumError, match="order 24 exceeds the cap of 23"):
+        a3.weyl
 
 
 def test_weyl_element_hashes_repeat_across_loads():
