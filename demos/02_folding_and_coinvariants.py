@@ -12,7 +12,7 @@ from affweyl import coinvariants, fold, load_action, pi0_fixed_torus
 
 print("== a rank-one torus with inversion ==")
 inv = load_action("t1", "inv")
-co = coinvariants(inv, "characters")
+co = coinvariants(inv)
 print("free rank:", co.free_rank, " torsion:", co.torsion)
 print("project(3) =", co.project((3,)), " project(4) =", co.project((4,)))
 print("pi0 of the fixed torus:", pi0_fixed_torus(inv))

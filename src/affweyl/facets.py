@@ -381,6 +381,8 @@ def speciality_report(group, mu_sample=None, bound=None, length_cap=64):
     t^tau is a torsion twin, Adm(mu + tau) = Adm(mu) t^tau relative to
     every facet, so the later entry takes the earlier one's counts.
     """
+    if bound is not None and bound > length_cap:
+        raise CapExceededError(f"bound {bound} exceeds cap {length_cap}")
     if mu_sample is None:
         mu_sample = default_mu_sample(group)
     classes = [_dominant(group, mu) for mu in mu_sample]

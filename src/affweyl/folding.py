@@ -55,6 +55,14 @@ class PinnedAction:
         return tuple(mat_transpose(mat_inverse_int(g)) for g in self.generators)
 
     @cached_property
+    def dual(self):
+        """The same group acting on the dual datum, by ``cochar_generators``;
+        ``a.dual.dual is a``."""
+        dual = PinnedAction(self.datum.dual, self.cochar_generators, self.name)
+        dual.dual = self
+        return dual
+
+    @cached_property
     def group_elements(self):
         """All character-side matrices of the generated (finite) group."""
         seen = closure([identity(self.datum.rank)], lambda m: (
@@ -66,10 +74,6 @@ class PinnedAction:
     @property
     def order(self):
         return len(self.group_elements)
-
-    @cached_property
-    def cochar_elements(self):
-        return tuple(mat_transpose(mat_inverse_int(g)) for g in self.group_elements)
 
     @cached_property
     def simple_permutations(self):
@@ -245,14 +249,12 @@ class CoinvariantLattice:
         return len(self.relation_matrix[0]) if self.ambient_rank else 0
 
 
-def coinvariants(action, side="cocharacters"):
-    """Coinvariant lattice of the (co)character lattice under the action."""
-    if side not in ("characters", "cocharacters"):
-        raise PairingError("side must be 'characters' or 'cocharacters'")
-    mats = action.generators if side == "characters" else action.cochar_generators
+def coinvariants(action):
+    """Coinvariant lattice of the character lattice under the action; the
+    cocharacter side is ``coinvariants(action.dual)``."""
     n = action.datum.rank
     cols = []
-    for g in mats:
+    for g in action.generators:
         for k in range(n):
             e = tuple(1 if i == k else 0 for i in range(n))
             col = vec_sub(e, mat_vec(g, e))
@@ -323,18 +325,10 @@ def _simple_orbits(action):
     return tuple(orbits)
 
 
-def fold(action, characteristic=0):
-    """Folded based root datum of a pinned action.
-
-    The construction needs the order of the acting group to be invertible;
-    ``characteristic`` declares the characteristic exponent of the intended
-    base field (0 by default) and incompatible actions are rejected.
-    """
-    if characteristic and action.order % characteristic == 0:
-        raise FoldingError(
-            "action order is divisible by the declared characteristic")
+def fold(action):
+    """Folded based root datum of a pinned action."""
     datum = action.datum
-    coinv = coinvariants(action, "characters")
+    coinv = coinvariants(action)
     f = coinv.free_rank
 
     def free_of(chi):
@@ -424,4 +418,4 @@ def fold(action, characteristic=0):
 
 def pi0_fixed_torus(action):
     """Invariant factors of pi_0 of the fixed torus (character group)."""
-    return coinvariants(action, "characters").torsion
+    return coinvariants(action).torsion

@@ -1,8 +1,9 @@
 """Highest-weight combinatorics for fixed-point groups of pinned actions.
 
-Characters are computed on the datum handed in (for dual-group applications
-that datum is the dual based root datum, whose character lattice is the
-original cocharacter lattice).  The pipeline is:
+Characters are computed on the datum handed in.  For dual-group
+applications that is ``datum.dual`` (or the fold of ``action.dual``), whose
+characters are the original cocharacters; the Weyl group acting on a
+datum's characters is ``datum.dual.weyl``.  The pipeline is:
 
 * Freudenthal's recursion for irreducible characters of a connected group,
   over the dominant weights below the highest (a closure of dominant steps
@@ -37,7 +38,7 @@ from math import prod
 from .errors import DominanceError, PeelingError
 from .folding import fold
 from .linalg import dot, mat_vec, vec_add, vec_sub
-from .root_data import WeylElement, closure
+from .root_data import closure
 
 
 class WeightMultiset:
@@ -183,9 +184,9 @@ def freudenthal(datum, lam):
 
 
 def dominant_of_char(datum, chi):
-    """Dominant representative of a character under the Weyl group."""
-    return datum.weyl.descend(tuple(chi), datum.simple_coroots, dot,
-                              WeylElement.apply_char)
+    """(chi+, w) with w chi = chi+ dominant, w in ``datum.dual.weyl``: the
+    characters are the dual datum's cocharacters."""
+    return datum.dual.weyl.dominant_representative(chi)
 
 
 def weyl_orbit_char(datum, mu):
@@ -245,9 +246,9 @@ def kostant_multiplicity(datum, lam, mu):
 
     rho = datum.two_rho  # doubled; scale the whole identity by 2
     total = 0
-    for w in datum.weyl.elements:
-        arg2 = vec_sub(vec_add(w.apply_char(tuple(2 * x for x in lam)),
-                               w.apply_char(rho)),
+    for w in datum.dual.weyl.elements:
+        arg2 = vec_sub(vec_add(w.apply_cochar(tuple(2 * x for x in lam)),
+                               w.apply_cochar(rho)),
                        vec_add(tuple(2 * x for x in mu), rho))
         if any(x % 2 for x in arg2):
             continue

@@ -252,7 +252,7 @@ class IwahoriWeylGroup:
         self.action = action
         self.datum = action.datum
         self.name = name or (action.datum.name + "-iw")
-        self.coinv = coinvariants(action, "cocharacters")
+        self.coinv = coinvariants(action.dual)
         self._elements = {}
         # one {g: dc_rep(g, J)} per set of letters J, filled by dc_reps
         self._dc_memos = {}
@@ -282,7 +282,7 @@ class IwahoriWeylGroup:
         for k in range(f):
             rep = co.lift(co.make(tuple(int(i == k) for i in range(f)),
                                   (0,) * len(co.torsion)))
-            images = [mat_vec(g, rep) for g in self.action.cochar_elements]
+            images = [mat_vec(g, rep) for g in self.action.dual.group_elements]
             realized.append(tuple(map(sum, zip(*images))))
         positive = set(datum.positive_indices)
         seen = {}

@@ -20,21 +20,14 @@ from .linalg import (dot, identity, integer_left_inverse, mat_mul, mat_vec,
                      scaled_coordinates)
 
 
-def reflection_matrices(root, coroot, rank):
-    """(character-side, cocharacter-side) matrices of s_a.
-
-    On characters s_a(x) = x - <a^vee, x> a; on cocharacters
-    s_a(mu) = mu - <mu, a> a^vee.
-    """
-    char = tuple(
-        tuple((1 if i == j else 0) - root[i] * coroot[j] for j in range(rank))
-        for i in range(rank)
-    )
-    cochar = tuple(
+def reflection_matrix(root, coroot, rank):
+    """Cocharacter-side matrix of s_a: s_a(mu) = mu - <mu, a> a^vee.  On
+    characters it is the matrix of the dual datum's s_a (roots and coroots
+    swapped), s_a(x) = x - <a^vee, x> a."""
+    return tuple(
         tuple((1 if i == j else 0) - coroot[i] * root[j] for j in range(rank))
         for i in range(rank)
     )
-    return char, cochar
 
 
 class BasedRootDatum:
@@ -126,9 +119,6 @@ class BasedRootDatum:
             out = tuple(a + b for a, b in zip(out, self.coroots[i]))
         return out
 
-    def is_dominant_cochar(self, mu):
-        return all(dot(mu, a) >= 0 for a in self.simple_roots)
-
     def is_dominant_char(self, chi):
         return all(dot(av, chi) >= 0 for av in self.simple_coroots)
 
@@ -162,7 +152,8 @@ class BasedRootDatum:
         # reflections permute the root set, and the coroot bijection is
         # equivariant (checked through the simple reflections)
         for i in self.simples:
-            char, cochar = reflection_matrices(self.roots[i], self.coroots[i], n)
+            char = reflection_matrix(self.coroots[i], self.roots[i], n)
+            cochar = reflection_matrix(self.roots[i], self.coroots[i], n)
             for j, r in enumerate(self.roots):
                 img = mat_vec(char, r)
                 if img not in rootset:
@@ -200,6 +191,16 @@ class BasedRootDatum:
     def weyl(self):
         return WeylGroup(self)
 
+    @cached_property
+    def dual(self):
+        """The Langlands dual datum: roots and coroots swapped, the same
+        simple indices, so its characters are this datum's cocharacters;
+        ``d.dual.dual is d``."""
+        dual = BasedRootDatum(self.rank, self.coroots, self.roots, self.simples,
+                              name=self.name and self.name + "-dual")
+        dual.dual = self
+        return dual
+
 
 def closure(seeds, step, limit=None):
     """The seeds, then the breadth-first layers of everything ``step`` reaches.
@@ -233,21 +234,22 @@ class WeylElement:
     ``mat`` is the matrix the group was closed on (cocharacters for an
     absolute Weyl group, free class coordinates for a relative one) and
     ``word`` the lexicographically least reduced word in the simple
-    reflections.  The absolute group fills ``mat_char`` (characters); the
-    relative group fills ``abs_mat`` (ambient cocharacters) and
-    ``class_mat`` ((free, torsion) class coordinates).  Elements hash by
-    index, so elements with one index in two loads of a datum hash alike.
+    reflections.  On characters w acts as the element of ``datum.dual.weyl``
+    with the same word.  The relative group fills ``abs_mat`` (ambient
+    cocharacters) and ``class_mat`` ((free, torsion) class coordinates).
+    Elements hash by index, so elements with one index in two loads of a
+    datum hash alike.
     """
 
-    __slots__ = ("group", "index", "mat", "word", "mat_char", "abs_mat",
-                 "class_mat", "_products", "_inverse")
+    __slots__ = ("group", "index", "mat", "word", "abs_mat", "class_mat",
+                 "_products", "_inverse")
 
     def __init__(self, group, index, mat, word):
         self.group = group
         self.index = index
         self.mat = mat
         self.word = word
-        self.mat_char = self.abs_mat = self.class_mat = self._inverse = None
+        self.abs_mat = self.class_mat = self._inverse = None
         self._products = {}
 
     @property
@@ -268,9 +270,6 @@ class WeylElement:
 
     def apply_cochar(self, mu):
         return mat_vec(self.mat, mu)
-
-    def apply_char(self, chi):
-        return mat_vec(self.mat_char, chi)
 
     def is_identity(self):
         return not self.word
@@ -384,16 +383,9 @@ class WeylGroup(FiniteReflectionGroup):
             raise RootDatumError(f"Weyl group of order {datum.weyl_order} exceeds "
                                  f"the cap of {self.MAX_ORDER} elements")
         self.datum = datum
-        gens = [reflection_matrices(datum.roots[i], datum.coroots[i], datum.rank)
-                for i in datum.simples]
-        super().__init__(identity(datum.rank), [cochar for _, cochar in gens])
-        # character-side matrices, shortest first: w = s_k (s_k w) with k
-        # the first letter of w's word
-        self.identity.mat_char = identity(datum.rank)
-        for w in sorted(self.elements, key=lambda w: w.length)[1:]:
-            k = w.word[0]
-            shorter = self.elements[self._left[w.index][k]]
-            w.mat_char = mat_mul(gens[k][0], shorter.mat_char)
+        super().__init__(identity(datum.rank), [
+            reflection_matrix(datum.roots[i], datum.coroots[i], datum.rank)
+            for i in datum.simples])
 
     def orbit(self, mu):
         """W-orbit of a cocharacter, as a set of tuples."""

@@ -196,7 +196,7 @@ def nullspace_rational(rows, n):
 def average_lift(action, cls):
     """The invariant rational representative of a cocharacter coinvariant
     class: the average of a lift over the action."""
-    mats = action.cochar_elements
+    mats = action.dual.group_elements
     rep = cls.lattice.lift(cls)
     acc = [Fraction(0)] * len(rep)
     for g in mats:

@@ -13,10 +13,9 @@ import pytest
 
 from affweyl import facets as fc
 from affweyl import highest_weight as hw
-from affweyl.folding import PinnedAction, coinvariants, fold
+from affweyl.folding import coinvariants, fold
 from affweyl.linalg import dot, mat_mul, mat_inverse_int
 from affweyl.presets import list_presets, load_action, load_datum, load_group
-from affweyl.root_data import BasedRootDatum
 from affweyl.smith import verify_decomposition
 from conftest import child_env
 from oracles import double_coset_count, restricted_lines, subword_downset
@@ -139,7 +138,7 @@ def test_criterion_5_projected_orbit_maxima():
         group = grp(name)
         datum = group.datum
         mus = sorted(m for m in iproduct(*[range(0, 2)] * datum.rank)
-                     if datum.is_dominant_cochar(m))
+                     if datum.dual.is_dominant_char(m))
         for mu in mus:
             lam = fc.lambda_mu(group, mu)
             projected = {group.coinv.project(v)
@@ -174,14 +173,13 @@ def test_criterion_7_coinvariants():
              ("t1", "inv"), ("a1xa1-sc", "swap")]
     for base, aname in pairs:
         act = load_action(base, aname)
-        for side in ("characters", "cocharacters"):
-            co = coinvariants(act, side)
+        for co in (coinvariants(act), coinvariants(act.dual)):
             assert verify_decomposition(co.relation_matrix, co.smith, co.u, co.v)
             assert mat_mul(mat_mul(mat_inverse_int(co.u), co.smith),
                            mat_inverse_int(co.v)) == co.relation_matrix
             assert co.relation_rank == Matrix(co.relation_matrix).rank()
     act = load_action("t1", "inv")
-    co = coinvariants(act, "characters")
+    co = coinvariants(act)
     assert co.free_rank == 0 and co.torsion == (2,)
     print("ACCEPTANCE 7 (coinvariant presentations): PASS")
 
@@ -211,13 +209,13 @@ def test_criterion_8_highest_weight_theory():
     fd = fold(act)
     order = hw.DominanceOrder(fd)
     co = fd.char_coinv
-    w0 = fd.datum.weyl.longest_element
+    w0 = fd.datum.dual.weyl.longest_element
     for free in ((0, 1), (1, 1), (2, 2)):
         for tors in ((0,), (1,)):
             mu = co.make(free, tors)
             ch = hw.character_with_torsion(fd, mu)
             assert ch[mu] == 1
-            low_free = w0.apply_char(mu.free)
+            low_free = w0.apply_cochar(mu.free)
             low = [w for w in ch.entries if w.free == low_free]
             assert len(low) == 1
             for w in ch.entries:
@@ -301,21 +299,12 @@ def test_criterion_6_on_large_presets_at_radius_6(name, monkeypatch):
     test_criterion_6_bruhat_oracle()
 
 
-def dual_fold(group):
-    """The fold of the dual datum (roots and coroots swapped) under the
-    contragredient action: its character-side coinvariants are the group's
-    cocharacter-side ones, from the same relation columns, so class
-    coordinates carry over unchanged."""
-    act = group.action
-    d = act.datum
-    dual = BasedRootDatum(d.rank, d.coroots, d.roots, d.simples)
-    return fold(PinnedAction(dual, act.cochar_generators))
-
-
 def satake_triples(group, folded):
     """(mu, K, Adm^K(mu), {dc_rep(t^lam) : lam a weight of V_mu}) for every
     mu in ``default_mu_sample`` and every special facet K with letters; V_mu
-    is the irreducible of highest weight mu of the fold."""
+    is the irreducible of highest weight mu of the fold.  The fold of
+    ``group.action.dual`` has the group's coinvariants as its character-side
+    ones (the same relation columns), so class coordinates carry over."""
     special = [f for f in fc.enumerate_facets(group) if f.letters and f.is_special()]
     for cls in fc.default_mu_sample(group):
         weights = hw.character_with_torsion(
@@ -335,7 +324,7 @@ def test_criterion_10_satake_weights(name):
     <mu, 2 rho>: the cells of Gr_{<= mu} in the ramified geometric Satake
     equivalence; exact."""
     group = grp(name)
-    for cls, facet, adm, reps in satake_triples(group, dual_fold(group)):
+    for cls, facet, adm, reps in satake_triples(group, fold(group.action.dual)):
         assert adm == reps, (name, cls, facet.letters)
         top = group.dc_rep(group.translation(cls), facet.letters)
         assert top.length == group.pairing_two_rho(group.dominant_class(cls))

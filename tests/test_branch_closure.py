@@ -83,7 +83,7 @@ def test_downward_orbits_match_the_closure_under_every_reflection(name, action, 
     for datum in _data(name, action):
         lam = _dominant(datum, data)
         full = closure([lam], lambda v: (
-            s.apply_char(v) for s in datum.weyl.simple_reflections))
+            s.apply_cochar(v) for s in datum.dual.weyl.simple_reflections))
         assert hw.weyl_orbit_char(datum, lam) == set(full), (name, action, lam)
 
 

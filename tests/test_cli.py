@@ -306,6 +306,14 @@ def test_negative_bound_is_an_argument_error():
     assert r.stdout == ""
 
 
+def test_bound_above_the_cap_is_a_cap_error():
+    """An explicit bound above the cap is refused before the ball is built."""
+    r = run("report", "--preset", "a1-sc", "--bound", "65")
+    assert r.returncode == 2
+    assert r.stderr == "error[facets.cap_exceeded]: bound 65 exceeds cap 64\n"
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("args", [
     ("adm", "--preset", "a1-sc", "--mu", "1,2,3"),
     ("branch", "--preset", "a1xa1-sc", "--action", "swap", "--lambda", "1"),

@@ -137,7 +137,7 @@ def test_lambda_mu_maximality(group_of):
         group = group_of(name)
         datum = group.datum
         mus = [m for m in iproduct(*[range(0, 2)] * datum.rank)
-               if datum.is_dominant_cochar(m)][:4]
+               if datum.dual.is_dominant_char(m)][:4]
         for mu in mus:
             lam = fc.lambda_mu(group, mu)
             projected = {group.coinv.project(v)
@@ -197,7 +197,7 @@ def test_admissible_maxima_closed_form(group_of):
         group = group_of(name)
         datum = group.datum
         mus = [m for m in iproduct(*[range(0, 2)] * datum.rank)
-               if datum.is_dominant_cochar(m) and any(m)][:2]
+               if datum.dual.is_dominant_char(m) and any(m)][:2]
         for facet in fc.enumerate_facets(group):
             for mu in mus:
                 maxima, count = fc.maximal_admissible(group, mu, facet)
@@ -358,7 +358,7 @@ def fraction_special_by_parallel_walls(facet):
 def test_integer_apartment_matches_the_fraction_routes(group_of, name):
     group = group_of(name)
     assert (group.p0_num, group.p0_den) == fraction_base_point(group)
-    order = len(group.action.cochar_elements)
+    order = group.action.dual.order
     assert group.rel_roots == [(tuple(order * x for x in cov), pos)
                                for cov, pos in fraction_relative_roots(group)]
     for facet in fc.enumerate_facets(group):

@@ -10,13 +10,15 @@ from affweyl.errors import FoldingError, PairingError
 from affweyl.folding import (CoinvariantLattice, PinnedAction, coinvariants, fold,
                              invariant_pairing, pi0_fixed_torus,
                              trivial_action)
-from affweyl.linalg import dot, mat_mul
+from affweyl.linalg import (dot, identity, mat_inverse_int, mat_mul, mat_transpose,
+                            mat_vec, vec_sub)
 from affweyl.presets import load_action, load_datum
+from test_branch_closure import FOLDS
 
 
 def test_trivial_action_identity_projection():
     a2 = load_datum("a2-sc")
-    co = coinvariants(trivial_action(a2), "cocharacters")
+    co = coinvariants(trivial_action(a2).dual)
     assert co.free_rank == 2 and co.torsion == ()
     cls = co.project((3, -5))
     assert co.lift(cls) in [(3, -5)] or co.project(co.lift(cls)) == cls
@@ -24,7 +26,7 @@ def test_trivial_action_identity_projection():
 
 def test_rank_one_inversion():
     act = load_action("t1", "inv")
-    co = coinvariants(act, "characters")
+    co = coinvariants(act)
     assert co.free_rank == 0 and co.torsion == (2,)
     assert co.project((3,)).torsion == (1,)
     assert co.project((4,)).torsion == (0,)
@@ -33,7 +35,7 @@ def test_rank_one_inversion():
 
 def test_sl4_cocharacter_swap():
     act = load_action("a3-sc", "swap")
-    co = coinvariants(act, "cocharacters")
+    co = coinvariants(act.dual)
     assert co.free_rank == 2
     # oracle: invariant factors of the relation matrix via sympy
     from sympy.matrices.normalforms import invariant_factors as sf
@@ -44,8 +46,7 @@ def test_sl4_cocharacter_swap():
 def test_projection_kernel_rank_matches_relations():
     for base, aname in [("a3-sc", "swap"), ("d3", "swap"), ("a2-sc", "swap")]:
         act = load_action(base, aname)
-        for side in ("characters", "cocharacters"):
-            co = coinvariants(act, side)
+        for co in (coinvariants(act), coinvariants(act.dual)):
             rank = Matrix(co.relation_matrix).rank()
             assert co.relation_rank == rank
             assert co.free_rank == co.ambient_rank - rank
@@ -53,7 +54,7 @@ def test_projection_kernel_rank_matches_relations():
 
 def test_project_dimension_mismatch():
     act = load_action("t1", "inv")
-    co = coinvariants(act, "characters")
+    co = coinvariants(act)
     with pytest.raises(PairingError):
         co.project((1, 2))
 
@@ -65,14 +66,14 @@ coord3 = st.tuples(*[st.integers(min_value=-8, max_value=8)] * 3)
 @given(mu=coord3, nu=coord3)
 def test_project_additive(mu, nu):
     act = load_action("d3", "swap")
-    co = coinvariants(act, "cocharacters")
+    co = coinvariants(act.dual)
     total = tuple(a + b for a, b in zip(mu, nu))
     assert co.project(mu) + co.project(nu) == co.project(total)
 
 
 def test_invariant_pairing():
     act = load_action("d3", "swap")
-    co = coinvariants(act, "cocharacters")
+    co = coinvariants(act.dual)
     # invariant characters have zero last coordinate
     chi = (2, 1, 0)
     mu = (1, 4, -2)
@@ -96,7 +97,7 @@ def test_invariant_pairing_checks_every_relation_column():
 def test_invariant_pairing_trivial_action():
     a2 = load_datum("a2-sc")
     act = trivial_action(a2)
-    co = coinvariants(act, "cocharacters")
+    co = coinvariants(act.dual)
     assert invariant_pairing(act, co.project((2, 3)), (1, -1)) == dot((2, 3), (1, -1))
 
 
@@ -106,7 +107,7 @@ def test_invariant_pairing_trivial_action():
 def test_invariant_pairing_well_defined(mu, a, b):
     """<project(mu), chi> = <mu, chi> for every invariant chi."""
     act = load_action("d3", "swap")
-    co = coinvariants(act, "cocharacters")
+    co = coinvariants(act.dual)
     chi = (a, b, 0)  # the invariant characters of this action
     assert invariant_pairing(act, co.project(mu), chi) == dot(mu, chi)
 
@@ -173,33 +174,47 @@ def test_folded_weyl_is_invariant_subgroup():
             return tuple(tuple(col[i] for col in cols) for i in range(f))
 
         invariant = set()
-        for w in act.datum.weyl.elements:
-            if all(mat_mul(w.mat_char, g) == mat_mul(g, w.mat_char)
-                   for g in act.generators):
-                invariant.add(free_mat(w.mat_char))
-        folded_weyl = {w.mat_char for w in fd.datum.weyl.elements}
+        for w in act.datum.dual.weyl.elements:
+            if all(mat_mul(w.mat, g) == mat_mul(g, w.mat) for g in act.generators):
+                invariant.add(free_mat(w.mat))
+        folded_weyl = {w.mat for w in fd.datum.dual.weyl.elements}
         assert folded_weyl == invariant
 
 
 def test_longest_element_is_invariant():
     for base, aname in [("a3-sc", "swap"), ("a2-sc", "swap"), ("d3", "swap")]:
         act = load_action(base, aname)
-        w0 = act.datum.weyl.longest_element
+        w0 = act.datum.dual.weyl.longest_element
         for g in act.generators:
-            assert mat_mul(w0.mat_char, g) == mat_mul(g, w0.mat_char)
+            assert mat_mul(w0.mat, g) == mat_mul(g, w0.mat)
+
+
+@pytest.mark.parametrize("name,action", FOLDS)
+def test_dual_action_is_the_contragredient(name, action):
+    """The dual acts on the dual datum by the contragredient matrices, and
+    its dual is the action itself."""
+    act = load_action(name, action)
+    assert act.dual.dual is act and act.dual.datum is act.datum.dual
+    assert set(act.dual.group_elements) == {
+        mat_transpose(mat_inverse_int(g)) for g in act.group_elements}
+
+
+@pytest.mark.parametrize("name,action", FOLDS)
+def test_dual_coinvariants_keep_the_cocharacter_relations(name, action):
+    """coinvariants(a.dual) is presented by the columns e - g e, g running
+    over the contragredient generators, as the cocharacter coinvariants
+    always were, so class coordinates carry over."""
+    act = load_action(name, action)
+    cols = [col for g in act.cochar_generators for e in identity(act.datum.rank)
+            if any(col := vec_sub(e, mat_vec(g, e)))]
+    expected = CoinvariantLattice(act.datum.rank, cols)
+    assert coinvariants(act.dual).relation_matrix == expected.relation_matrix
 
 
 def test_unpinned_action_rejected():
     a1 = load_datum("a1-sc")
     with pytest.raises(FoldingError):
         PinnedAction(a1, (((-1,),),))  # inversion sends the simple root away
-
-
-def test_fold_characteristic_guard():
-    act = load_action("a2-sc", "swap")
-    fold(act, characteristic=3)  # coprime: allowed
-    with pytest.raises(FoldingError):
-        fold(act, characteristic=2)
 
 
 def test_lattice_build_makes_no_unimodular_inverse(monkeypatch):

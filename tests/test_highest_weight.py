@@ -9,6 +9,32 @@ from affweyl.errors import DominanceError
 from affweyl.folding import fold, trivial_action
 from affweyl.linalg import dot, vec_sub
 from affweyl.presets import load_action, load_datum
+from test_branch_closure import FOLDS
+
+
+def freudenthal_walk(datum, v):
+    """The dominant-representative walk inside ``freudenthal``: reflect in
+    the first simple root whose coroot pairs negatively, until none does."""
+    simple = tuple(zip(datum.simple_coroots, datum.simple_roots))
+    while True:
+        for cv, alpha in simple:
+            if (n := dot(cv, v)) < 0:
+                v = tuple(x - n * a for x, a in zip(v, alpha))
+                break
+        else:
+            return v
+
+
+@pytest.mark.parametrize("name,action", FOLDS)
+def test_dominant_of_char_walks_in_the_dual_weyl_group(name, action):
+    """dominant_of_char gives freudenthal's representative, with an element
+    of the dual's Weyl group that carries the weight there."""
+    act = load_action(name, action)
+    for datum in (act.datum, fold(act).datum):
+        for v in iproduct(range(-3, 4), repeat=datum.rank):
+            dom, w = hw.dominant_of_char(datum, v)
+            assert dom == freudenthal_walk(datum, v), (name, action, v)
+            assert w.group is datum.dual.weyl and w.apply_cochar(v) == dom
 
 
 def brute_cone_membership(order, lam, mu, depth=20):
@@ -104,7 +130,7 @@ def test_weight_window():
         fd = fold(act)
         order = hw.DominanceOrder(fd)
         co = fd.char_coinv
-        w0 = fd.datum.weyl.longest_element
+        w0 = fd.datum.dual.weyl.longest_element
         for free in iproduct(*[range(0, 2)] * co.free_rank):
             if not fd.datum.is_dominant_char(free):
                 continue
@@ -112,7 +138,7 @@ def test_weight_window():
                 mu = co.make(free, tors)
                 ch = hw.character_with_torsion(fd, mu)
                 assert ch[mu] == 1  # highest weight multiplicity one
-                low_free = w0.apply_char(mu.free)
+                low_free = w0.apply_cochar(mu.free)
                 coeffs = order._coefficients(vec_sub(mu.free, low_free))
                 off = hw._torsion_offset(fd, coeffs)
                 low = co.make(low_free,

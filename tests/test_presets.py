@@ -153,7 +153,7 @@ A2_COMMANDS = [SWAP_A2, ["report", "--preset", "a2-sc"],
 
 
 @pytest.mark.parametrize("old,new,argvs,error", [
-    # a coroot shorter than the rank once reached reflection_matrices
+    # a coroot shorter than the rank once reached reflection_matrix
     ("root   2  -1 | coroot   1   0", "root   2  -1 | coroot   1", A2_COMMANDS,
      "error[root_datum.invalid]: coroot of wrong length"),
     ("action swap | perm 1 0", "action swap | matrix 0 1 0 ; 1 0 0", [SWAP_A2],

@@ -11,7 +11,7 @@ from affweyl.errors import RootDatumError, UnknownPresetError
 from affweyl.folding import fold
 from affweyl.presets import list_presets, load_action, load_datum, load_group
 from affweyl.root_data import (FiniteReflectionGroup, WeylGroup, closure,
-                               reflection_matrices)
+                               reflection_matrix)
 from affweyl.linalg import dot, mat_mul, identity, primitive_covector
 from oracles import stabilizer_generators
 from test_branch_closure import FOLDS
@@ -19,7 +19,7 @@ from test_branch_closure import FOLDS
 
 def brute_weyl_order(datum):
     """Closure of the simple-reflection matrices, counted naively."""
-    gens = [reflection_matrices(datum.roots[i], datum.coroots[i], datum.rank)[0]
+    gens = [reflection_matrix(datum.coroots[i], datum.roots[i], datum.rank)
             for i in datum.simples]
     seen = {identity(datum.rank)}
     frontier = list(seen)
@@ -51,6 +51,20 @@ def test_preset_orders(name, n_roots, order):
     assert len(datum.roots) == n_roots
     assert brute_weyl_order(datum) == order
     assert len(datum.weyl) == order
+
+
+@pytest.mark.parametrize("name,action", FOLDS)
+def test_dual_swaps_roots_and_coroots(name, action):
+    """For every shipped datum and its folds, the dual swaps roots and
+    coroots, keeps the simple and positive indices, and has the datum as
+    its dual."""
+    act = load_action(name, action)
+    for datum in (act.datum, fold(act).datum):
+        dual = datum.dual
+        assert (dual.roots, dual.coroots) == (datum.coroots, datum.roots)
+        assert dual.simples == datum.simples
+        assert dual.positive_indices == datum.positive_indices
+        assert dual.dual is datum and datum.dual is dual
 
 
 def test_unknown_preset():
@@ -120,7 +134,8 @@ def test_length_is_inversion_count():
         datum = load_datum(name)
         pos = set(datum.positive_roots)
         for w in datum.weyl.elements:
-            inv = sum(1 for r in pos if w.apply_char(r) not in pos)
+            on_chars = datum.dual.weyl.element_from_word(w.word)
+            inv = sum(1 for r in pos if on_chars.apply_cochar(r) not in pos)
             assert inv == w.length
             # the stored word multiplies back to the element
             assert datum.weyl.element_from_word(w.word) == w
@@ -154,7 +169,8 @@ coord = st.integers(min_value=-6, max_value=6)
 def test_pairing_invariance(mu, chi, widx):
     c2 = load_datum("c2-sc")
     w = c2.weyl.elements[widx % len(c2.weyl)]
-    assert dot(w.apply_cochar(mu), w.apply_char(chi)) == dot(mu, chi)
+    on_chars = c2.dual.weyl.element_from_word(w.word)
+    assert dot(w.apply_cochar(mu), on_chars.apply_cochar(chi)) == dot(mu, chi)
 
 
 @settings(max_examples=60, deadline=None)

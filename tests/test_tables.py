@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from affweyl.linalg import identity, mat_mul
 from affweyl.presets import list_presets, load_group
-from affweyl.root_data import reflection_matrices
+from affweyl.root_data import reflection_matrix
 
 PRESETS = sorted(name for name, _, _ in list_presets())
 SAMPLES = settings(max_examples=40, derandomize=True, deadline=None)
@@ -136,7 +136,7 @@ def test_left_table_is_simple_left_multiplication(name):
     reflections in the simple relative lines)."""
     group = group_of(name)
     datum = group.datum
-    absolute = [reflection_matrices(datum.roots[i], datum.coroots[i], datum.rank)[1]
+    absolute = [reflection_matrix(datum.roots[i], datum.coroots[i], datum.rank)
                 for i in datum.simples]
     relative = [group.w0.reflections[k].mat for k in range(group.n_simple_lines)]
     for weyl, gens in ((datum.weyl, absolute), (group.w0, relative)):

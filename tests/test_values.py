@@ -25,8 +25,8 @@ def test_two_loads_give_equal_data_and_actions():
 
 def test_coinvariant_classes_equal_by_lattice_and_coordinates():
     act = load_action("a3-sc", "swap")
-    co = coinvariants(act, "cocharacters")
-    other = coinvariants(act, "cocharacters")
+    co = coinvariants(act.dual)
+    other = coinvariants(act.dual)
     x = co.make((1, 2), ())
     assert x == co.make((1, 2), ()) and hash(x) == hash(co.make((1, 2), ()))
     assert x != co.make((2, 1), ())
@@ -34,7 +34,7 @@ def test_coinvariant_classes_equal_by_lattice_and_coordinates():
     assert x != (1, 2)
     assert hash(x) == hash(other.make((1, 2), ()))
     assert len({x, co.make((1, 2), ()), co.make((0, 0), ())}) == 2
-    tors = coinvariants(load_action("t1", "inv"), "characters")
+    tors = coinvariants(load_action("t1", "inv"))
     assert tors.torsion == (2,)
     assert tors.make((), (3,)) == tors.make((), (1,)) != tors.make((), (0,))
     assert hash(tors.make((), (3,))) == hash(tors.make((), (1,)))
