@@ -2,8 +2,8 @@
 
 The connected theory is Freudenthal's recursion; component groups enter
 through torsion offsets dictated by the projected simple roots; and
-restriction along a fold projects an absolute character and peels
-highest-weight characters from the top of the dominance order.
+restriction along a fold projects an absolute character and reads the
+multiplicities of its constituents off it by Weyl's character formula.
 """
 
 from affweyl import (character_with_torsion, fold, irreducible_character,

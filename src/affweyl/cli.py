@@ -24,10 +24,12 @@ import os
 import re
 import sys
 
-from .errors import AffweylError, CoordinateCountError, InternalInvariantError
+from .errors import (AffweylError, CapExceededError, CoordinateCountError,
+                     InternalInvariantError)
 from . import facets as fc
 from . import highest_weight as hw
 from .folding import fold as fold_action
+from .linalg import dot
 from .presets import list_presets, load_action, load_group
 
 SCHEMA = "affweyl/1"
@@ -107,6 +109,15 @@ def _mu_for_group(group, coords):
         return coords
     raise CoordinateCountError(
         f"mu needs {n} (absolute) or {need} (class) coordinates")
+
+
+def _check_height(two_rho_check, weight, cap):
+    """Refuse a highest weight whose height <weight, 2 rho^vee> is above the
+    cap, before any character work: Freudenthal visits every dominant
+    weight below it, a number that grows with the height."""
+    height = dot(two_rho_check, weight)
+    if height > cap:
+        raise CapExceededError(f"height {height} exceeds cap {cap}")
 
 
 def cmd_list_presets(args):
@@ -223,6 +234,7 @@ def cmd_branch(args):
     lam = args.lam
     if len(lam) != datum.rank:
         raise CoordinateCountError(f"lambda needs {datum.rank} coordinates")
+    _check_height(datum.two_rho_check, lam, args.cap)
     fd = fold_action(action)
     dec = hw.restrict_to_fixed_group(datum, action, lam, fd)
     rows = [{"mu_free": ",".join(map(str, cls.free)),
@@ -244,6 +256,7 @@ def cmd_char(args):
     need = co.free_rank + len(co.torsion)
     if len(coords) != need:
         raise CoordinateCountError(f"mu needs {need} coordinates (free then torsion)")
+    _check_height(fd.datum.two_rho_check, coords[:co.free_rank], args.cap)
     cls = co.make(coords[:co.free_rank], coords[co.free_rank:])
     ch = hw.character_with_torsion(fd, cls)
     rows = [{"weight_free": ",".join(map(str, w.free)),
@@ -289,9 +302,9 @@ COMMANDS = {
     "branch": (cmd_branch, "restriction to the fixed-point group",
                [_PRESET, _arg("--action", required=True),
                 _arg("--lambda", dest="lam", type=_int_list, required=True),
-                _FORMAT]),
+                _CAP, _FORMAT]),
     "char": (cmd_char, "weight multiset of an irreducible",
-             [_PRESET, _arg("--action", default=None), _MU, _FORMAT]),
+             [_PRESET, _arg("--action", default=None), _MU, _CAP, _FORMAT]),
     "selftest": (cmd_selftest, "run the invariant battery", []),
 }
 

@@ -306,7 +306,8 @@ class FoldedDatum:
     @cached_property
     def characters(self):
         """Dominant characters with torsion computed so far, by highest weight
-        class (``highest_weight.dominant_character_with_torsion`` fills it)."""
+        class: ``highest_weight.dominant_character_with_torsion`` fills it
+        for ``char`` and ``highest_weight_table``; ``branch`` builds none."""
         return {}
 
 

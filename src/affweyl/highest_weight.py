@@ -24,18 +24,16 @@ datum's characters is ``datum.dual.weyl``.  The pipeline is:
   irreducible are lifted to the full coinvariant lattice, the torsion
   offsets dictated by the projected simple roots, and the orbit walk
   carries the offsets to the other weights;
-* restriction along fold: project an absolute irreducible's weights, keep
-  the classes with dominant free part and greedily peel dominant
-  characters from the top of the dominance order.
+* restriction along fold: Weyl's character formula on the projected
+  weights of one Freudenthal character, by the dot action on classes.
 
-A fold's dominant characters with torsion are built once and kept on the
-``FoldedDatum`` (``characters``), so every caller holding the same fold
-reuses them.
+A fold's dominant characters with torsion (for ``char`` and the table) are
+built once and kept on the ``FoldedDatum`` (``characters``).
 """
 
 from math import prod
 
-from .errors import DominanceError, PeelingError
+from .errors import DominanceError, InternalInvariantError, PeelingError
 from .folding import fold
 from .linalg import dot, mat_vec, vec_add, vec_sub
 from .root_data import closure
@@ -390,52 +388,64 @@ def induced_dimension(folded, mu_cls):
 
 def restrict_to_fixed_group(datum, action, lam, folded=None):
     """Decompose the projection of an absolute irreducible character into
-    highest-weight characters of the fixed-point group.
+    highest-weight characters of the fixed-point group: a sorted list of
+    (class, multiplicity), by Weyl's character formula (Humphreys, §24).
 
-    Returns a sorted list of (class, multiplicity).  The projected
-    character and every constituent's are W0-invariant, so their classes
-    with dominant free part determine them, and only those are kept and
-    peeled; a weight of maximal height is dominant (a simple reflection
-    raises any other), so the tops are those of a peel of every weight.
-    Peeling is greedy from the top of the dominance order (height
-    functional, lexicographic tie break); a negative residue raises, since
-    it would falsify the highest-weight theory this computes in.  Each
-    round removes its top weight for good (a weight it added would be
-    negative and raise), so there are at most as many rounds as kept
-    classes.
+    Freudenthal runs once, on lam; the walk of ``weyl_orbit_char`` carries
+    each weight's class (a step by n alpha_i moves it by -n times alpha_i's
+    class, torsion included).  Each class (v, t) then moves by the dot
+    action s_i.(v, t) = (v - n beta_i, t - n tau_i), n = <beta_i^vee, v> + 1,
+    of the folded simple roots until v + rho' is dominant, and adds its
+    multiplicity, signed by its steps, to its end point's coefficient; one
+    on a wall (n = 0) drops out.  Exact because beta_i -> (beta_i, tau_i)
+    is a homomorphism on the root lattice, so Weyl's denominator identity
+    holds on classes with torsion, given <beta_i^vee, 2 rho'> = 2 (checked
+    per fold).  A negative coefficient, or dimensions not summing to lam's,
+    raises.
     """
     if folded is None:
         folded = fold(action)
     if not datum.is_dominant_char(lam):
         raise DominanceError(f"{lam} is not dominant")
-    co = folded.char_coinv
-    fd = folded.datum
-    remaining = WeightMultiset()
-    for w, m in irreducible_character(datum, lam).entries.items():
-        cls = co.project(w)
-        if fd.is_dominant_char(cls.free):
-            remaining.add(cls, m)
-    height = fd.two_rho_check
+    co, fd = folded.char_coinv, folded.datum
+    if any(dot(cv, fd.two_rho) != 2 for cv in fd.simple_coroots):
+        raise InternalInvariantError("<simple coroot, 2 rho> != 2 on the fold")
+    # x + (x's class's free part) walks, torsion beside; dot reads x alone
+    steps = tuple((cv, a + co.project(a).free, co.project(a).torsion) for cv, a in
+                  zip(datum.simple_coroots, datum.simple_roots))
 
-    def sort_key(cls):
-        return (-dot(height, cls.free), cls.free, cls.torsion)
+    def down(state):
+        x, t = state
+        for cv, a, ta in steps:
+            if (n := dot(cv, x)) > 0:
+                yield (tuple([p - n * q for p, q in zip(x, a)]),
+                       tuple([(p - n * q) % d for p, q, d in zip(t, ta, co.torsion)]))
 
-    out = []
-    max_rounds = len(remaining)
-    while remaining.entries:
-        top = min(remaining.entries, key=sort_key)
-        mult = remaining[top]
-        if mult < 0:
-            raise PeelingError("negative multiplicity while peeling")
-        # a round checks the weights it lowers; the rest are checked at the top
-        for w, m in dominant_character_with_torsion(folded, top).entries.items():
-            remaining.add(w, -m * mult)
-            if remaining[w] < 0:
-                raise PeelingError("negative multiplicity while peeling")
-        out.append((top, mult))
-        if len(out) > max_rounds:
-            raise PeelingError("peeling did not terminate")
-    out.sort(key=lambda t: sort_key(t[0]))
+    projected = {}
+    for mu, m in freudenthal(datum, tuple(lam)).items():
+        c = co.project(mu)
+        for x, t in closure([(mu + c.free, c.torsion)], down):
+            projected[x[datum.rank:], t] = projected.get((x[datum.rank:], t), 0) + m
+    simple = tuple(zip(fd.simple_coroots, fd.simple_roots, folded.simple_torsion))
+    coeffs = {}
+    for (v, t), m in projected.items():
+        while True:
+            for cv, b, tb in simple:
+                if (n := dot(cv, v) + 1) <= 0:
+                    break
+            else:  # v + rho' is dominant
+                coeffs[v, t] = coeffs.get((v, t), 0) + m
+                break
+            if n == 0:  # on a wall
+                break
+            v = tuple(p - n * q for p, q in zip(v, b))
+            t, m = tuple((p - n * q) % d for p, q, d in zip(t, tb, co.torsion)), -m
+    out = sorted(((co.make(*vt), c) for vt, c in coeffs.items() if c), key=lambda r: (
+        -dot(fd.two_rho_check, r[0].free), r[0].free, r[0].torsion))
+    if any(c < 0 for _, c in out):
+        raise PeelingError("negative multiplicity while peeling")
+    if sum(c * weyl_dimension(fd, cls.free) for cls, c in out) != weyl_dimension(datum, lam):
+        raise PeelingError("constituent dimensions do not sum to lam's")
     return out
 
 

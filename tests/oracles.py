@@ -237,3 +237,45 @@ def full_weight_peel(datum, lam, folded):
         out.append((top, mult))
     out.sort(key=lambda t: sort_key(t[0]))
     return out
+
+
+def dominant_peel(datum, lam, folded):
+    """``restrict_to_fixed_group`` before Weyl's character formula: project
+    the absolute character, keep the classes with dominant free part, and
+    peel dominant characters with torsion greedily from the top.
+
+    A W0-invariant character is fixed by its classes with dominant free
+    part, and a weight of maximal height is dominant (a simple reflection
+    raises any other), so the tops are those of a peel of every weight.  A
+    round checks the classes it lowers for a negative multiplicity; the
+    rest are checked when they come to the top.  Each round removes its top
+    for good, so there are at most as many rounds as kept classes.
+    """
+    co = folded.char_coinv
+    fd = folded.datum
+    remaining = hw.WeightMultiset()
+    for w, m in hw.irreducible_character(datum, lam).entries.items():
+        cls = co.project(w)
+        if fd.is_dominant_char(cls.free):
+            remaining.add(cls, m)
+    height = fd.two_rho_check
+
+    def sort_key(cls):
+        return (-dot(height, cls.free), cls.free, cls.torsion)
+
+    out = []
+    max_rounds = len(remaining)
+    while remaining.entries:
+        top = min(remaining.entries, key=sort_key)
+        mult = remaining[top]
+        if mult < 0:
+            raise PeelingError("negative multiplicity while peeling")
+        for w, m in hw.dominant_character_with_torsion(folded, top).entries.items():
+            remaining.add(w, -m * mult)
+            if remaining[w] < 0:
+                raise PeelingError("negative multiplicity while peeling")
+        out.append((top, mult))
+        if len(out) > max_rounds:
+            raise PeelingError("peeling did not terminate")
+    out.sort(key=lambda t: sort_key(t[0]))
+    return out

@@ -1,6 +1,6 @@
-"""`branch` and `char` on the dominant chamber against the routes they
-replaced (tests/oracles.py): the peel over classes with dominant free part
-against the peel over every projected weight, the orbit walk that carries
+"""`branch` and `char` against the routes they replaced (tests/oracles.py):
+Weyl's character formula against the peel over every projected weight and
+the peel over classes with dominant free part, the orbit walk that carries
 the torsion against the per-weight twist, the integer row reduction against
 the one over Q, and a CLI that runs without loading `fractions`."""
 
@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from affweyl import highest_weight as hw
 from affweyl.cli import build_parser
 from affweyl.folding import CoinvariantLattice, FoldedDatum, fold
-from affweyl.linalg import _reduce, integer_left_inverse
+from affweyl.errors import InternalInvariantError
+from affweyl.linalg import _reduce, dot, integer_left_inverse
 from affweyl.presets import load_action
 from affweyl.root_data import BasedRootDatum
 from conftest import child_env
-from oracles import (fraction_left_inverse, fraction_reduce,
+from oracles import (dominant_peel, fraction_left_inverse, fraction_reduce,
                      full_character_with_torsion, full_weight_peel)
 from test_branch_closure import FOLDS, _dominant
 
@@ -53,6 +54,7 @@ def test_dominant_peel_matches_the_full_weight_peel(name, action, data):
     dec = hw.restrict_to_fixed_group(act.datum, act, lam, fd)
     assert dec == full_weight_peel(act.datum, lam, fd), (name, action, lam)
     _check_constituents(fd, dec)
+    assert dec == dominant_peel(act.datum, lam, fd), (name, action, lam)
 
 
 def test_pool_commands_match_the_full_weight_routes():
@@ -70,6 +72,38 @@ def test_pool_commands_match_the_full_weight_routes():
             co = fd.char_coinv
             dec = [(co.make(args.mu[:co.free_rank], args.mu[co.free_rank:]), 1)]
         _check_constituents(fd, dec)
+
+
+@pytest.mark.parametrize("name,lam", [("a3-sc", (8, 8, 8)), ("a2-sc", (30, 30)),
+                                      ("d3", (6, 4, 2))])
+def test_large_weights_match_the_dominant_peel(name, lam):
+    """Heights 80, 120 and 46 (the benchmark pool stops at 40); d3 carries
+    Z/2 torsion and a2-sc's restricted system is nonreduced."""
+    act = load_action(name, "swap")
+    fd = fold(act)
+    dec = hw.restrict_to_fixed_group(act.datum, act, lam, fd)
+    assert dec == dominant_peel(act.datum, lam, fd)
+
+
+def test_every_fold_has_rho_one_on_its_simple_coroots():
+    """The dot action s_i.v = s_i(v + rho') - rho' steps by
+    <beta_i^vee, v> + 1 only when <beta_i^vee, 2 rho'> = 2."""
+    assert len(FOLDS) == 16
+    for name, action in FOLDS:
+        fd = fold(load_action(name, action)).datum
+        assert [dot(cv, fd.two_rho) for cv in fd.simple_coroots] == \
+            [2] * len(fd.simple_coroots), (name, action)
+
+
+def test_a_fold_without_rho_one_is_an_internal_error():
+    """A nonreduced BC1 as the fold's datum (roots 1 and 2 positive, so
+    <1^vee, 2 rho'> = 2 * 3 = 6) is refused before any weight is walked."""
+    co = CoinvariantLattice(1, [])
+    bc1 = BasedRootDatum(1, ((1,), (2,), (-1,), (-2,)), ((2,), (1,), (-2,), (-1,)), (0,))
+    fd = FoldedDatum(None, co, bc1, (), ((),), (), True)
+    act = load_action("t1", None)
+    with pytest.raises(InternalInvariantError, match="2 rho"):
+        hw.restrict_to_fixed_group(act.datum, act, (1,), fd)
 
 
 def test_orbit_walk_carries_order_three_torsion():

@@ -1,10 +1,13 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -312,6 +315,44 @@ def test_bound_above_the_cap_is_a_cap_error():
     assert r.returncode == 2
     assert r.stderr == "error[facets.cap_exceeded]: bound 65 exceeds cap 64\n"
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args,height", [
+    (("char", "--preset", "a2-sc", "--mu", "99999,0"), 199998),
+    (("branch", "--preset", "a2-sc", "--action", "swap",
+      "--lambda", "1000000000000,0"), 2000000000000),
+])
+def test_huge_highest_weight_is_a_cap_error(args, height):
+    """`char` and `branch` refuse a height above ``--cap`` before any
+    character work; Freudenthal below such a weight would not return."""
+    start = time.perf_counter()
+    r = subprocess.run(CMD + list(args), capture_output=True, text=True,
+                       env=child_env(), timeout=60)
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 2
+    assert r.stderr == f"error[facets.cap_exceeded]: height {height} exceeds cap 64\n"
+    assert r.stdout == ""
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("argv,height", [
+    (["branch", "--preset", "a3-sc", "--action", "swap", "--lambda", "4,4,4"], 40),
+    (["branch", "--preset", "d3", "--action", "swap", "--lambda", "2,1,0"], 10),
+    (["char", "--preset", "d3", "--action", "swap", "--mu", "2,2,1"], 12),
+    (["char", "--preset", "a2-sc", "--mu", "32,0"], 64),
+])
+def test_height_at_the_cap_runs_and_above_it_is_refused(argv, height):
+    """<weight, 2 rho^vee> of `branch`'s lambda, and of `char`'s mu on the
+    fold (its free part), against ``--cap``: equal runs, one over refuses;
+    the default cap of 64 admits each of them."""
+    from affweyl import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(argv + ["--cap", str(height)]) == 0
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--cap", str(height - 1)]) == 2
+    assert err.getvalue() == (
+        f"error[facets.cap_exceeded]: height {height} exceeds cap {height - 1}\n")
 
 
 @pytest.mark.parametrize("args", [
