@@ -8,8 +8,7 @@ equivalent to the parity property of stratum dimensions and to the
 uniqueness of the maximal admissible element, and the report table checks
 all three columns against each other."""
 
-from affweyl import (admissible_set, load_group, schubert_components,
-                     speciality_report)
+from affweyl import admissible_set, load_group, speciality_report
 from affweyl.facets import Facet, parity_check
 
 g = load_group("a1-sc")
@@ -23,9 +22,11 @@ for el in sorted(adm.elements, key=lambda x: (x.length, str(x))):
 print()
 print("== stratum dimensions at the special vertex ==")
 vertex = Facet(g, (1,))
-for el, dim, top in schubert_components(g, (1,), vertex):
-    print(f"  {g.element_to_string(el):12s} dim {dim}" +
-          ("  (irreducible component)" if top else ""))
+strata = admissible_set(g, (1,), vertex).elements
+top = max(el.length for el in strata)
+for el in sorted(strata, key=lambda x: (-x.length, g.element_to_string(x))):
+    print(f"  {g.element_to_string(el):12s} dim {el.length}" +
+          ("  (irreducible component)" if el.length == top else ""))
 
 print()
 print("== parity at the alcove fails, with a witness ==")

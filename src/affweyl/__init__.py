@@ -8,11 +8,10 @@ from .folding import (CoinvariantClass, CoinvariantLattice, FoldedDatum,
 from .iwahori import IwahoriWeylElement, IwahoriWeylGroup
 from .facets import (AdmissibleSet, Facet, admissible_set, enumerate_facets,
                      lambda_mu, maximal_admissible, parity_check,
-                     schubert_components, speciality_report)
-from .highest_weight import (DominanceOrder, WeightMultiset,
-                             character_with_torsion, extend_by_component_twist,
-                             freudenthal, highest_weight_table,
-                             irreducible_character, kostant_multiplicity,
+                     speciality_report)
+from .highest_weight import (WeightMultiset, character_with_torsion,
+                             extend_by_component_twist, freudenthal,
+                             highest_weight_table, irreducible_character,
                              restrict_to_fixed_group, weyl_dimension)
 from .presets import list_presets, load_action, load_datum, load_group
 

@@ -120,6 +120,14 @@ def _check_height(two_rho_check, weight, cap):
         raise CapExceededError(f"height {height} exceeds cap {cap}")
 
 
+def _check_walk(g, cap):
+    """Refuse an element whose reduced word is above the cap in length,
+    before the walk: it crosses l(g) walls, one step each, and l(g) is
+    read in closed form."""
+    if g.length > cap:
+        raise CapExceededError(f"length {g.length} exceeds cap {cap}")
+
+
 def cmd_list_presets(args):
     """The presets that parse on stdout, one error line per bad file on
     stderr; exit 2 if there was one."""
@@ -162,12 +170,14 @@ def cmd_wgroup(args):
         doc = {"schema": SCHEMA, "element": group.element_to_string(g),
                "length": g.length}
     elif args.operation == "word":
+        _check_walk(g, args.cap)
         om, letters = g.reduced_word()
         doc = {"schema": SCHEMA, "element": group.element_to_string(g),
                "omega": group.element_to_string(om),
                "letters": list(letters)}
     elif args.operation == "leq":
         other = group.element_from_string(args.other)
+        _check_walk(other, args.cap)
         doc = {"schema": SCHEMA, "element": group.element_to_string(g),
                "other": group.element_to_string(other),
                "leq": group.bruhat_leq(g, other)}
@@ -291,7 +301,7 @@ COMMANDS = {
     "wgroup": (cmd_wgroup, "Iwahori-Weyl group operations",
                [_arg("operation", choices=["length", "word", "leq", "kottwitz"]),
                 _PRESET, _arg("--element", required=True),
-                _arg("--other", help="second element for leq"), _FORMAT]),
+                _arg("--other", help="second element for leq"), _CAP, _FORMAT]),
     "adm": (cmd_adm, "admissible set relative to a facet",
             [_PRESET, _arg("--facet", type=_int_list, default=(),
                            help="comma-separated S_aff indices"),

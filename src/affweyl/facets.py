@@ -287,16 +287,6 @@ def predicted_maxima(group, mu, facet):
     return {group.translation(c) for c in reps}
 
 
-def schubert_components(group, mu, facet, length_cap=64):
-    """Stratum dimension table: (element, dimension=length), top entries
-    flagged as irreducible components."""
-    adm = admissible_set(group, mu, facet, length_cap=length_cap)
-    top = max(g.length for g in adm.elements)
-    rows = [(g, g.length, g.length == top) for g in adm.elements]
-    rows.sort(key=lambda r: (-r[1], group.element_to_string(r[0])))
-    return rows
-
-
 def parity_check(group, facet, bound):
     """Within each connected component, all strata of bounded length must
     have one parity; returns (ok, witness_pair_or_None).

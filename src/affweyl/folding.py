@@ -303,13 +303,6 @@ class FoldedDatum:
         self.component_group = component_group
         self.nonreduced = nonreduced
 
-    @cached_property
-    def characters(self):
-        """Dominant characters with torsion computed so far, by highest weight
-        class: ``highest_weight.dominant_character_with_torsion`` fills it
-        for ``char`` and ``highest_weight_table``; ``branch`` builds none."""
-        return {}
-
 
 def _simple_orbits(action):
     """Orbits of the action on the simple slots, ordered by least member."""

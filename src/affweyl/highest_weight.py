@@ -7,28 +7,25 @@ datum's characters is ``datum.dual.weyl``.  The pipeline is:
 
 * Freudenthal's recursion for irreducible characters of a connected group,
   over the dominant weights below the highest (a closure of dominant steps
-  down by positive roots), spread over orbits by downward simple
-  reflections; in integers: with the Weyl-invariant integer Gram matrix
-  G = sum of cv cv^T over the coroots, every norm is taken on doubled
-  weights, q(2mu + 2rho) = (2mu + 2rho)^T G (2mu + 2rho), so that rho =
-  two_rho / 2 never leaves Z; the multiplicity of mu is then
+  down by positive roots); in integers: with the Weyl-invariant integer
+  Gram matrix G = sum of cv cv^T over the coroots, every norm is taken on
+  doubled weights, q(2mu + 2rho) = (2mu + 2rho)^T G (2mu + 2rho), so that
+  rho = two_rho / 2 never leaves Z; the multiplicity of mu is then
   8 acc / (q(2lam + 2rho) - q(2mu + 2rho)), checked to be exact.
-  ``kostant_multiplicity`` (Kostant's alternating sum) and
-  ``weyl_dimension`` (Weyl's dimension formula) are independent oracles
-  for it, and the latter gives each constituent's dimension;
-* the dominance order on the character-side coinvariants, with the
-  projected simple roots as cone generators; coefficients in the simple
-  roots come from the folded datum's integer left inverse of its simple
-  roots, the one its positivity was read from;
+  ``weyl_dimension`` (Weyl's dimension formula) is independent of it and
+  gives each constituent's dimension;
+* one downward orbit walk, ``downward_orbit``, spreads dominant weights
+  over their Weyl orbits (v -> v - n alpha_i for n = <alpha_i^vee, v> > 0)
+  and carries a torsion coordinate along (t -> t - n tau_i);
 * component-group twists: the dominant weights of a connected-group
   irreducible are lifted to the full coinvariant lattice, the torsion
-  offsets dictated by the projected simple roots, and the orbit walk
-  carries the offsets to the other weights;
+  offsets dictated by the projected simple roots (their coefficients come
+  from the folded datum's integer left inverse of its simple roots), and
+  the orbit walk carries the offsets to the other weights;
 * restriction along fold: Weyl's character formula on the projected
   weights of one Freudenthal character, by the dot action on classes.
 
-A fold's dominant characters with torsion (for ``char`` and the table) are
-built once and kept on the ``FoldedDatum`` (``characters``).
+Each call builds its own characters; nothing is kept between calls.
 """
 
 from math import prod
@@ -187,20 +184,29 @@ def dominant_of_char(datum, chi):
     return datum.dual.weyl.dominant_representative(chi)
 
 
-def weyl_orbit_char(datum, mu):
-    """Weyl orbit of a dominant character, by the simple reflections that go
-    down: v -> v - n alpha_i where n = <alpha_i^vee, v> > 0."""
-    simple = tuple(zip(datum.simple_coroots, datum.simple_roots))
-    return set(closure([tuple(mu)], lambda v: (
-        tuple(x - n * a for x, a in zip(v, alpha))
-        for cv, alpha in simple if (n := dot(cv, v)) > 0)))
+def downward_orbit(start, steps, moduli=()):
+    """Every state reached from start = (v, t) by the simple reflections
+    that go down: for a step (cv, alpha, tau) with n = <cv, v> > 0,
+    v -> v - n alpha and t -> t - n tau mod the moduli.  From a dominant v
+    this is v's Weyl orbit, with the torsion t carried along; ``cv`` pairs
+    with the leading entries of v, which may carry more."""
+
+    def down(state):
+        v, t = state
+        for cv, alpha, tau in steps:
+            if (n := dot(cv, v)) > 0:
+                yield (tuple([p - n * q for p, q in zip(v, alpha)]),
+                       tuple([(p - n * q) % d for p, q, d in zip(t, tau, moduli)]))
+
+    return closure([start], down)
 
 
 def irreducible_character(datum, lam):
     """Full weight multiset of the irreducible with highest weight lam."""
+    steps = tuple((cv, a, ()) for cv, a in zip(datum.simple_coroots, datum.simple_roots))
     # the orbits of distinct dominant weights are disjoint
     return WeightMultiset({w: m for mu, m in freudenthal(datum, lam).items()
-                           for w in weyl_orbit_char(datum, mu)})
+                           for w, _ in downward_orbit((mu, ()), steps)})
 
 
 def weyl_dimension(datum, lam):
@@ -220,73 +226,7 @@ def weyl_dimension(datum, lam):
     return q
 
 
-def kostant_multiplicity(datum, lam, mu):
-    """Weight multiplicity by Kostant's alternating sum (test oracle)."""
-    positives = datum.positive_roots
-    memo = {}
-
-    def partitions(v, idx):
-        v = tuple(v)
-        if all(x == 0 for x in v):
-            return 1
-        if idx == len(positives):
-            return 0
-        key = (v, idx)
-        if key in memo:
-            return memo[key]
-        total = partitions(v, idx + 1)
-        shifted = vec_sub(v, positives[idx])
-        # only finitely many subtractions can stay in the positive cone
-        if _in_root_cone(datum, shifted):
-            total += partitions(shifted, idx)
-        memo[key] = total
-        return total
-
-    rho = datum.two_rho  # doubled; scale the whole identity by 2
-    total = 0
-    for w in datum.dual.weyl.elements:
-        arg2 = vec_sub(vec_add(w.apply_cochar(tuple(2 * x for x in lam)),
-                               w.apply_cochar(rho)),
-                       vec_add(tuple(2 * x for x in mu), rho))
-        if any(x % 2 for x in arg2):
-            continue
-        arg = tuple(x // 2 for x in arg2)
-        if not _in_root_cone(datum, arg):
-            continue
-        total += (-1) ** w.length * partitions(arg, 0)
-    return total
-
-
-def _in_root_cone(datum, v):
-    sol = datum._root_coordinates(v)
-    return sol is not None and all(x >= 0 for x in sol[0])
-
-
-# -- dominance order on coinvariants ---------------------------------------------
-
-
-class DominanceOrder:
-    """Partial order on the full coinvariant weight lattice generated by the
-    projected positive roots."""
-
-    def __init__(self, folded):
-        self.folded = folded
-        simples = folded.datum.simple_roots
-        self.generators = tuple(
-            folded.char_coinv.make(r, t)
-            for r, t in zip(simples, folded.simple_torsion))
-
-    def leq(self, lam, mu):
-        """lam <= mu iff mu - lam is a nonnegative integer combination of
-        the projected simple roots (exact integer feasibility)."""
-        diff = mu - lam
-        coeffs = self._coefficients(diff.free)
-        if coeffs is None or any(c < 0 for c in coeffs):
-            return False
-        return _torsion_offset(self.folded, coeffs) == diff.torsion
-
-    def _coefficients(self, free_vec):
-        return _simple_root_coefficients(self.folded.datum, free_vec)
+# -- disconnected groups: torsion lifting ------------------------------------------
 
 
 def _simple_root_coefficients(datum, free_vec):
@@ -296,9 +236,6 @@ def _simple_root_coefficients(datum, free_vec):
     if sol is None or any(x % sol[1] for x in sol[0]):
         return None
     return tuple(x // sol[1] for x in sol[0])
-
-
-# -- disconnected groups: torsion lifting ------------------------------------------
 
 
 def _torsion_offset(folded, coeffs):
@@ -340,38 +277,21 @@ def extend_by_component_twist(char, mu_cls, folded):
     return out
 
 
-def dominant_character_with_torsion(folded, mu_cls):
-    """The classes with dominant free part in ``character_with_torsion``:
-    Freudenthal's multiplicities, each twisted once, kept per fold in
-    ``folded.characters``; every call returns its own copy."""
-    char = folded.characters.get(mu_cls)
-    if char is None:
-        if not folded.datum.is_dominant_char(mu_cls.free):
-            raise DominanceError(f"{mu_cls} is not dominant for the folded datum")
-        conn = WeightMultiset(freudenthal(folded.datum, mu_cls.free))
-        char = folded.characters[mu_cls] = extend_by_component_twist(conn, mu_cls, folded)
-    return WeightMultiset(char.entries)
-
-
 def character_with_torsion(folded, mu_cls):
     """Weight multiset of the irreducible of highest weight mu_cls on the
-    full (torsion-carrying) coinvariant lattice: the dominant classes
-    spread over W0-orbits by the walk of ``weyl_orbit_char``, a step
-    v -> v - n alpha_i taking n times alpha_i's torsion off the class."""
-    co = folded.char_coinv
-    simple = tuple(zip(folded.datum.simple_coroots, folded.datum.simple_roots,
-                       folded.simple_torsion))
-
-    def down(wt):
-        v, t = wt
-        for cv, alpha, tors in simple:
-            if (n := dot(cv, v)) > 0:
-                yield (tuple(x - n * a for x, a in zip(v, alpha)),
-                       tuple((x - n * a) % d for x, a, d in zip(t, tors, co.torsion)))
-
+    full (torsion-carrying) coinvariant lattice: Freudenthal's dominant
+    multiplicities, each twisted once (``extend_by_component_twist``), then
+    spread over W0-orbits by ``downward_orbit``, a step v -> v - n alpha_i
+    taking n times alpha_i's torsion off the class."""
+    fd, co = folded.datum, folded.char_coinv
+    if not fd.is_dominant_char(mu_cls.free):
+        raise DominanceError(f"{mu_cls} is not dominant for the folded datum")
+    dominant = extend_by_component_twist(
+        WeightMultiset(freudenthal(fd, mu_cls.free)), mu_cls, folded)
+    steps = tuple(zip(fd.simple_coroots, fd.simple_roots, folded.simple_torsion))
     out = WeightMultiset()
-    for cls, m in dominant_character_with_torsion(folded, mu_cls).entries.items():
-        for v, t in closure([(cls.free, cls.torsion)], down):
+    for cls, m in dominant.entries.items():
+        for v, t in downward_orbit((cls.free, cls.torsion), steps, co.torsion):
             out.entries[co.make(v, t)] = m
     return out
 
@@ -391,8 +311,8 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
     highest-weight characters of the fixed-point group: a sorted list of
     (class, multiplicity), by Weyl's character formula (Humphreys, §24).
 
-    Freudenthal runs once, on lam; the walk of ``weyl_orbit_char`` carries
-    each weight's class (a step by n alpha_i moves it by -n times alpha_i's
+    Freudenthal runs once, on lam; ``downward_orbit`` carries each
+    weight's class (a step by n alpha_i moves it by -n times alpha_i's
     class, torsion included).  Each class (v, t) then moves by the dot
     action s_i.(v, t) = (v - n beta_i, t - n tau_i), n = <beta_i^vee, v> + 1,
     of the folded simple roots until v + rho' is dominant, and adds its
@@ -413,18 +333,10 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
     # x + (x's class's free part) walks, torsion beside; dot reads x alone
     steps = tuple((cv, a + co.project(a).free, co.project(a).torsion) for cv, a in
                   zip(datum.simple_coroots, datum.simple_roots))
-
-    def down(state):
-        x, t = state
-        for cv, a, ta in steps:
-            if (n := dot(cv, x)) > 0:
-                yield (tuple([p - n * q for p, q in zip(x, a)]),
-                       tuple([(p - n * q) % d for p, q, d in zip(t, ta, co.torsion)]))
-
     projected = {}
     for mu, m in freudenthal(datum, tuple(lam)).items():
         c = co.project(mu)
-        for x, t in closure([(mu + c.free, c.torsion)], down):
+        for x, t in downward_orbit((mu + c.free, c.torsion), steps, co.torsion):
             projected[x[datum.rank:], t] = projected.get((x[datum.rank:], t), 0) + m
     simple = tuple(zip(fd.simple_coroots, fd.simple_roots, folded.simple_torsion))
     coeffs = {}

@@ -209,10 +209,6 @@ class IwahoriWeylElement:
             self._dels = out
         return self._dels
 
-    def affine_part(self):
-        """self * omega^{-1}, which lies in the affine Weyl group."""
-        return self * self.omega.inverse()
-
     def __repr__(self):
         return self.group.element_to_string(self)
 

@@ -10,7 +10,7 @@ from math import lcm
 
 from affweyl import highest_weight as hw
 from affweyl.errors import InternalInvariantError, PeelingError
-from affweyl.linalg import dot, identity, mat_vec
+from affweyl.linalg import dot, identity, mat_vec, vec_add, vec_sub
 from affweyl.root_data import closure
 from affweyl.smith import smith_normal_form
 
@@ -32,10 +32,15 @@ def all_reduced_words(group, g):
     return out
 
 
+def affine_part(g):
+    """g * omega^{-1}, which lies in the affine Weyl group."""
+    return g * g.omega.inverse()
+
+
 def subword_downset(group, g):
     """All products of subwords of all reduced words of the affine part."""
     om = g.omega
-    aff = g.affine_part()
+    aff = affine_part(g)
     reachable = set()
     for word in all_reduced_words(group, aff):
         states = {group.identity()}
@@ -126,6 +131,72 @@ def invariant_factors(a):
 
 
 # -- highest weights, exact row reduction and branching ---------------------------
+
+
+def kostant_multiplicity(datum, lam, mu):
+    """Weight multiplicity by Kostant's alternating sum."""
+    positives = datum.positive_roots
+    memo = {}
+
+    def partitions(v, idx):
+        v = tuple(v)
+        if all(x == 0 for x in v):
+            return 1
+        if idx == len(positives):
+            return 0
+        key = (v, idx)
+        if key in memo:
+            return memo[key]
+        total = partitions(v, idx + 1)
+        shifted = vec_sub(v, positives[idx])
+        # only finitely many subtractions can stay in the positive cone
+        if _in_root_cone(datum, shifted):
+            total += partitions(shifted, idx)
+        memo[key] = total
+        return total
+
+    rho = datum.two_rho  # doubled; scale the whole identity by 2
+    total = 0
+    for w in datum.dual.weyl.elements:
+        arg2 = vec_sub(vec_add(w.apply_cochar(tuple(2 * x for x in lam)),
+                               w.apply_cochar(rho)),
+                       vec_add(tuple(2 * x for x in mu), rho))
+        if any(x % 2 for x in arg2):
+            continue
+        arg = tuple(x // 2 for x in arg2)
+        if not _in_root_cone(datum, arg):
+            continue
+        total += (-1) ** w.length * partitions(arg, 0)
+    return total
+
+
+def _in_root_cone(datum, v):
+    sol = datum._root_coordinates(v)
+    return sol is not None and all(x >= 0 for x in sol[0])
+
+
+class DominanceOrder:
+    """Partial order on the full coinvariant weight lattice generated by the
+    projected positive roots."""
+
+    def __init__(self, folded):
+        self.folded = folded
+        simples = folded.datum.simple_roots
+        self.generators = tuple(
+            folded.char_coinv.make(r, t)
+            for r, t in zip(simples, folded.simple_torsion))
+
+    def leq(self, lam, mu):
+        """lam <= mu iff mu - lam is a nonnegative integer combination of
+        the projected simple roots (exact integer feasibility)."""
+        diff = mu - lam
+        coeffs = self._coefficients(diff.free)
+        if coeffs is None or any(c < 0 for c in coeffs):
+            return False
+        return hw._torsion_offset(self.folded, coeffs) == diff.torsion
+
+    def _coefficients(self, free_vec):
+        return hw._simple_root_coefficients(self.folded.datum, free_vec)
 
 
 def fraction_reduce(rows, extra, n):
@@ -239,6 +310,13 @@ def full_weight_peel(datum, lam, folded):
     return out
 
 
+def dominant_character_with_torsion(folded, mu_cls):
+    """The classes with dominant free part in ``character_with_torsion``:
+    Freudenthal's multiplicities, each twisted once."""
+    conn = hw.WeightMultiset(hw.freudenthal(folded.datum, mu_cls.free))
+    return hw.extend_by_component_twist(conn, mu_cls, folded)
+
+
 def dominant_peel(datum, lam, folded):
     """``restrict_to_fixed_group`` before Weyl's character formula: project
     the absolute character, keep the classes with dominant free part, and
@@ -270,7 +348,7 @@ def dominant_peel(datum, lam, folded):
         mult = remaining[top]
         if mult < 0:
             raise PeelingError("negative multiplicity while peeling")
-        for w, m in hw.dominant_character_with_torsion(folded, top).entries.items():
+        for w, m in dominant_character_with_torsion(folded, top).entries.items():
             remaining.add(w, -m * mult)
             if remaining[w] < 0:
                 raise PeelingError("negative multiplicity while peeling")

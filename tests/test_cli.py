@@ -109,7 +109,8 @@ def test_exit_codes():
 
 
 @pytest.mark.parametrize("args, lines", [
-    (("wgroup", "word", "--preset", "a1-sc", "--element", "t[20000]"), 1),
+    (("wgroup", "word", "--preset", "a1-sc", "--element", "t[20000]",
+      "--cap", "40000"), 1),
     (("wgroup", "length", "--preset", "a1-sc", "--element", "t[2]"), 0),
 ])
 def test_closed_stdout_prints_no_traceback(args, lines):
@@ -179,7 +180,8 @@ def test_exception_escaping_main_takes_the_ordinary_exit():
     ("report", "--preset", "g2", "--format", "json"),
     ("adm", "--preset", "a3-sc", "--mu", "2,2,2", "--format", "json"),
     # 120,040 bytes, more than a pipe holds
-    ("wgroup", "word", "--preset", "a1-sc", "--element", "t[20000]"),
+    ("wgroup", "word", "--preset", "a1-sc", "--element", "t[20000]",
+     "--cap", "40000"),
 ], ids=["report-c2-sc", "report-folded-a3", "report-folded-d3", "report-g2",
          "adm-a3-sc", "wgroup-word-a1-sc"])
 def test_process_stdout_equals_in_process_main(args, capsys):
@@ -269,7 +271,7 @@ def test_selftest_exits_zero():
 
 def test_walk_guard_scales_with_length():
     r = run("wgroup", "word", "--preset", "a1-sc", "--element", "t[6000]",
-            "--format", "json")
+            "--cap", "12000", "--format", "json")
     assert r.returncode == 0, r.stderr
     assert len(json.loads(r.stdout)["letters"]) == 12000
 

@@ -277,17 +277,21 @@ def test_parity_check(group_of):
     assert ok
 
 
-def test_schubert_components(group_of):
+def test_top_length_strata_of_sl2(group_of):
+    """The strata of top length, which demo 04 flags as irreducible
+    components: both translations at the alcove, one at the vertex."""
     group = group_of("a1-sc")
-    alcove = facet_by_letters(group, ())
-    rows = fc.schubert_components(group, (1,), alcove)
-    top = [r for r in rows if r[2]]
-    assert len(top) == 2
-    assert all(r[1] == 2 for r in top)
-    assert {group.element_to_string(r[0]) for r in top} == {"t[1]", "t[-1]"}
-    vertex = facet_by_letters(group, (1,))
-    rows = fc.schubert_components(group, (1,), vertex)
-    assert sum(1 for r in rows if r[2]) == 1
+
+    def top(facet):
+        elements = fc.admissible_set(group, (1,), facet).elements
+        n = max(g.length for g in elements)
+        return [g for g in elements if g.length == n], n
+
+    rows, n = top(facet_by_letters(group, ()))
+    assert n == 2
+    assert {group.element_to_string(g) for g in rows} == {"t[1]", "t[-1]"}
+    rows, _ = top(facet_by_letters(group, (1,)))
+    assert len(rows) == 1
 
 
 def test_speciality_report(group_of):

@@ -4,10 +4,15 @@ The Bruhat order test uses the fully exhaustive oracle: every reduced word
 of v is enumerated and all subword products collected.
 """
 
-import pytest
+import sys
+import threading
 from itertools import product as iproduct
 
+import pytest
+
 from affweyl.errors import ElementParseError
+from affweyl.facets import admissible_set
+from affweyl.presets import load_group
 from oracles import subword_downset
 
 
@@ -233,3 +238,38 @@ def test_integer_kernel_reflection_matches_fraction_route():
             assert found == group.w0.reflections[line_id].mat
             lines += 1
     assert lines > 0
+
+
+def test_threads_agree_on_each_element():
+    """Eight threads build one admissible set on one fresh, shared group,
+    switching often, in each of several rounds: each result equals the
+    serial one, and each element is the group's one object for its key."""
+    mu = (1, 0, 1)
+    serial = admissible_set(load_group("a3-sc"), mu)
+    keys = sorted(g.key() for g in serial.elements)
+    top = sorted(g.key() for g in serial.maxima)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            group = load_group("a3-sc")
+            start = threading.Barrier(8)
+            results = [None] * 8
+
+            def build(i):
+                start.wait()
+                results[i] = admissible_set(group, mu)
+
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for adm in results:
+                assert sorted(g.key() for g in adm.elements) == keys
+                assert sorted(g.key() for g in adm.maxima) == top
+                assert all(group.element(g.cls, g.w) is g for g in adm.elements)
+                assert adm == results[0]
+    finally:
+        sys.setswitchinterval(interval)
