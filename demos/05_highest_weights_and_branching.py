@@ -20,7 +20,7 @@ for lam in ((1, 0), (0, 1), (1, 1)):
 print()
 print("== Clebsch-Gordan through the factor swap ==")
 act = load_action("a1xa1-sc", "swap")
-dec = restrict_to_fixed_group(act.datum, act, (1, 1), fold(act))
+dec = restrict_to_fixed_group(fold(act), (1, 1))
 print("V(1,1) restricted to the diagonal:",
       [(c.free, m) for c, m in dec])
 
@@ -28,7 +28,7 @@ print()
 print("== branching with a component group: D3 by the flip ==")
 act = load_action("d3", "swap")
 fd = fold(act)
-dec = restrict_to_fixed_group(act.datum, act, (1, 1, 0), fd)
+dec = restrict_to_fixed_group(fd, (1, 1, 0))
 print("the 15-dimensional representation decomposes as:")
 for cls, m in dec:
     ch = character_with_torsion(fd, cls)
@@ -39,6 +39,6 @@ print("Frobenius reciprocity check: dim ind =", induced_dimension(fd, mu),
 
 print()
 print("== a table of simple constituents ==")
-for row in highest_weight_table(act.datum, act, [(1, 0, 0), (1, 1, 0)]):
+for row in highest_weight_table(fd, [(1, 0, 0), (1, 1, 0)]):
     print(f"  mu {str(row['mu']):12s} dim {row['dim']:3d} "
           f"weights {row['n_weights']:3d}  from {row['provenance']}")

@@ -107,8 +107,8 @@ def _mu_for_group(group, coords):
         return group.class_from_coords(coords)
     if len(coords) == n:
         return coords
-    raise CoordinateCountError(
-        f"mu needs {n} (absolute) or {need} (class) coordinates")
+    counts = f"{n}" if n == need else f"{n} (absolute) or {need} (class)"
+    raise CoordinateCountError(f"mu needs {counts} coordinates")
 
 
 def _check_height(two_rho_check, weight, cap):
@@ -246,7 +246,7 @@ def cmd_branch(args):
         raise CoordinateCountError(f"lambda needs {datum.rank} coordinates")
     _check_height(datum.two_rho_check, lam, args.cap)
     fd = fold_action(action)
-    dec = hw.restrict_to_fixed_group(datum, action, lam, fd)
+    dec = hw.restrict_to_fixed_group(fd, lam)
     rows = [{"mu_free": ",".join(map(str, cls.free)),
              "mu_torsion": ",".join(map(str, cls.torsion)),
              "multiplicity": mult,

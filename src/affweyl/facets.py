@@ -334,26 +334,22 @@ def _parity(group, facet, components):
 def default_mu_sample(group, pairing_bound=10):
     """Dominant classes with <mu, 2 rho> bounded, plus zero and a regular one."""
     co = group.coinv
-    f = co.free_rank
     box = range(-pairing_bound, pairing_bound + 1)
-    torsion_choices = [range(d) for d in co.torsion]
     out = []
     regular = None
-    for free in iproduct(*[box] * f):
-        for tors in iproduct(*torsion_choices):
-            cls = co.make(free, tors)
-            if not group.is_dominant_class(cls):
-                continue
-            val = group.pairing_two_rho(cls)
-            is_reg = all(dot(fam.covector, cls.free) > 0 for fam in group.families)
-            if is_reg and (regular is None or
-                           val < group.pairing_two_rho(regular)):
-                regular = cls
-            if val <= pairing_bound:
-                out.append(cls)
+    for cls in co.classes(iproduct(*[box] * co.free_rank)):
+        if not group.is_dominant_class(cls):
+            continue
+        val = group.pairing_two_rho(cls)
+        is_reg = all(dot(fam.covector, cls.free) > 0 for fam in group.families)
+        if is_reg and (regular is None or
+                       val < group.pairing_two_rho(regular)):
+            regular = cls
+        if val <= pairing_bound:
+            out.append(cls)
     if regular is not None and regular not in out:
         out.append(regular)
-    out.sort(key=lambda c: (group.pairing_two_rho(c), c.free, c.torsion))
+    out.sort(key=lambda c: (group.pairing_two_rho(c), c))
     return out
 
 

@@ -2,16 +2,21 @@
 
 Coinvariants L_I = L / <(1-g)x> are presented through an exact Smith normal
 form, so torsion comes out as honest invariant factors and the projection map
-is materialized (with a section).  Folding produces the based root datum of
-the neutral fixed-point group on the torsion-free quotient of the
-character-side coinvariants: each orbit of simple roots contributes one
-folded simple root, with the coroot given by the orbit sum of coroots
-(doubled when two orbit members sum to a root, which is the nonreduced case;
-the flag is recorded and the Coxeter realization of the nonreduced restricted
-system is deferred to the wall tables of the affine layer).
+is materialized (with a section).  The lattice is the one owner of its
+classes: it enumerates them (``classes``, ``basis``), projects, lifts and
+acts on them, and classes sort by (free, torsion).  Folding produces the
+based root datum of the neutral fixed-point group on the torsion-free
+quotient of the character-side coinvariants: each orbit of simple roots
+contributes one folded simple root, with the coroot given by the orbit sum
+of coroots (doubled when two orbit members sum to a root, which is the
+nonreduced case; the flag is recorded and the Coxeter realization of the
+nonreduced restricted system is deferred to the wall tables of the affine
+layer).  A fold carries its action, so restriction along it needs nothing
+else.
 """
 
 from functools import cached_property
+from itertools import product
 from operator import mod
 
 from .errors import FoldingError, PairingError
@@ -124,8 +129,8 @@ def trivial_action(datum):
 class CoinvariantClass:
     """Element of a coinvariant lattice: free coordinates plus torsion.
 
-    Classes are equal when they share a lattice and coordinates, and hash
-    by their coordinates.
+    Classes are equal when they share a lattice and coordinates, hash by
+    their coordinates and sort by (free, torsion).
     """
 
     __slots__ = ("lattice", "free", "torsion")
@@ -161,6 +166,9 @@ class CoinvariantClass:
 
     def __hash__(self):
         return hash((self.free, self.torsion))
+
+    def __lt__(self, other):
+        return (self.free, self.torsion) < (other.free, other.torsion)
 
     def __repr__(self):
         if self.torsion:
@@ -203,6 +211,17 @@ class CoinvariantLattice:
 
     def zero(self):
         return self.make((0,) * self.free_rank, (0,) * len(self.torsion))
+
+    def classes(self, free_parts):
+        """Each free part with every reduced torsion part, free part outer,
+        made as the caller iterates."""
+        return (self.make(free, tors) for free in free_parts
+                for tors in product(*map(range, self.torsion)))
+
+    def basis(self):
+        """The unit classes: the free coordinates first, then the torsion ones."""
+        units = identity(self.free_rank + len(self.torsion))
+        return [self.make(u[:self.free_rank], u[self.free_rank:]) for u in units]
 
     def project(self, mu):
         """Class of an ambient lattice vector."""
@@ -324,26 +343,15 @@ def fold(action):
     datum = action.datum
     coinv = coinvariants(action)
     f = coinv.free_rank
-
-    def free_of(chi):
-        return coinv.project(chi).free
-
-    def torsion_of(chi):
-        return coinv.project(chi).torsion
+    free_basis = [coinv.lift(b) for b in coinv.basis()[:f]]
+    unit_free = [coinv.project(e).free for e in identity(datum.rank)]
 
     # a functional phi on the ambient character lattice that kills the
     # relations descends to the free quotient; solve c . project = phi
     def descend_functional(phi):
-        c = []
-        for k in range(f):
-            basis_cls = coinv.make(tuple(1 if i == k else 0 for i in range(f)),
-                                   (0,) * len(coinv.torsion))
-            c.append(dot(phi, coinv.lift(basis_cls)))
-        c = tuple(c)
-        for k in range(datum.rank):
-            e = tuple(1 if i == k else 0 for i in range(datum.rank))
-            if dot(c, free_of(e)) != dot(phi, e):
-                raise FoldingError("coroot functional does not descend")
+        c = tuple(dot(phi, rep) for rep in free_basis)
+        if any(dot(c, u) != x for u, x in zip(unit_free, phi)):
+            raise FoldingError("coroot functional does not descend")
         return c
 
     orbits = _simple_orbits(action)
@@ -358,11 +366,9 @@ def fold(action):
         doubling = any(
             vec_add(a, b) in rootset
             for i, a in enumerate(slot_roots) for b in slot_roots[i + 1:])
-        rep = slot_roots[0]
-        bar = free_of(rep)
-        for other in slot_roots[1:]:
-            if free_of(other) != bar or torsion_of(other) != torsion_of(rep):
-                raise FoldingError("orbit members project to different classes")
+        rep = coinv.project(slot_roots[0])
+        if any(coinv.project(r) != rep for r in slot_roots[1:]):
+            raise FoldingError("orbit members project to different classes")
         phi = (0,) * datum.rank
         for s in orbit:
             phi = vec_add(phi, datum.coroots[datum.simples[s]])
@@ -370,11 +376,11 @@ def fold(action):
             phi = tuple(2 * x for x in phi)
             nonreduced = True
         cvec = descend_functional(phi)
-        if dot(cvec, bar) != 2:
+        if dot(cvec, rep.free) != 2:
             raise FoldingError("folded <coroot, root> != 2")
-        folded_simple_roots.append(bar)
+        folded_simple_roots.append(rep.free)
         folded_simple_coroots.append(cvec)
-        simple_torsion.append(torsion_of(rep))
+        simple_torsion.append(rep.torsion)
         orbit_map.append((orbit, oi))
 
     # close the folded simples under their reflections to get all roots

@@ -1,6 +1,8 @@
 """Highest-weight combinatorics for fixed-point groups of pinned actions.
 
-Characters are computed on the datum handed in.  For dual-group
+Characters are computed on the datum handed in; restriction and the
+highest-weight table take a fold, which carries its action and so the
+datum restricted from (``folded.action.datum``).  For dual-group
 applications that is ``datum.dual`` (or the fold of ``action.dual``), whose
 characters are the original cocharacters; the Weyl group acting on a
 datum's characters is ``datum.dual.weyl``.  The pipeline is:
@@ -31,7 +33,6 @@ Each call builds its own characters; nothing is kept between calls.
 from math import prod
 
 from .errors import DominanceError, InternalInvariantError, PeelingError
-from .folding import fold
 from .linalg import dot, mat_vec, vec_add, vec_sub
 from .root_data import closure
 
@@ -42,12 +43,6 @@ class WeightMultiset:
     def __init__(self, entries=None):
         self.entries = dict(entries or {})
 
-    @staticmethod
-    def _key(w):
-        if hasattr(w, "free"):
-            return (w.free, w.torsion)
-        return (tuple(w), ())
-
     def add(self, weight, mult=1):
         self.entries[weight] = self.entries.get(weight, 0) + mult
         if self.entries[weight] == 0:
@@ -57,7 +52,7 @@ class WeightMultiset:
         return sum(self.entries.values())
 
     def items(self):
-        return sorted(self.entries.items(), key=lambda kv: self._key(kv[0]))
+        return sorted(self.entries.items())
 
     def __getitem__(self, w):
         return self.entries.get(w, 0)
@@ -306,10 +301,11 @@ def induced_dimension(folded, mu_cls):
 # -- restriction along folding ------------------------------------------------------
 
 
-def restrict_to_fixed_group(datum, action, lam, folded=None):
-    """Decompose the projection of an absolute irreducible character into
-    highest-weight characters of the fixed-point group: a sorted list of
-    (class, multiplicity), by Weyl's character formula (Humphreys, §24).
+def restrict_to_fixed_group(folded, lam):
+    """Decompose the projection of an irreducible character of the folded
+    action's datum into highest-weight characters of the fixed-point group:
+    a sorted list of (class, multiplicity), by Weyl's character formula
+    (Humphreys, §24).
 
     Freudenthal runs once, on lam; ``downward_orbit`` carries each
     weight's class (a step by n alpha_i moves it by -n times alpha_i's
@@ -323,16 +319,15 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
     per fold).  A negative coefficient, or dimensions not summing to lam's,
     raises.
     """
-    if folded is None:
-        folded = fold(action)
+    datum = folded.action.datum
     if not datum.is_dominant_char(lam):
         raise DominanceError(f"{lam} is not dominant")
     co, fd = folded.char_coinv, folded.datum
     if any(dot(cv, fd.two_rho) != 2 for cv in fd.simple_coroots):
         raise InternalInvariantError("<simple coroot, 2 rho> != 2 on the fold")
     # x + (x's class's free part) walks, torsion beside; dot reads x alone
-    steps = tuple((cv, a + co.project(a).free, co.project(a).torsion) for cv, a in
-                  zip(datum.simple_coroots, datum.simple_roots))
+    steps = tuple((cv, a + c.free, c.torsion) for cv, a, c in zip(
+        datum.simple_coroots, datum.simple_roots, map(co.project, datum.simple_roots)))
     projected = {}
     for mu, m in freudenthal(datum, tuple(lam)).items():
         c = co.project(mu)
@@ -352,8 +347,8 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
                 break
             v = tuple(p - n * q for p, q in zip(v, b))
             t, m = tuple((p - n * q) % d for p, q, d in zip(t, tb, co.torsion)), -m
-    out = sorted(((co.make(*vt), c) for vt, c in coeffs.items() if c), key=lambda r: (
-        -dot(fd.two_rho_check, r[0].free), r[0].free, r[0].torsion))
+    out = sorted(((co.make(*vt), c) for vt, c in coeffs.items() if c),
+                 key=lambda r: (-dot(fd.two_rho_check, r[0].free), r[0]))
     if any(c < 0 for _, c in out):
         raise PeelingError("negative multiplicity while peeling")
     if sum(c * weyl_dimension(fd, cls.free) for cls, c in out) != weyl_dimension(datum, lam):
@@ -361,14 +356,12 @@ def restrict_to_fixed_group(datum, action, lam, folded=None):
     return out
 
 
-def highest_weight_table(datum, action, lams, folded=None):
+def highest_weight_table(folded, lams):
     """Rows (class, dim, #weights, provenance) for every constituent of the
-    restrictions of the given absolute highest weights."""
-    if folded is None:
-        folded = fold(action)
+    restrictions of the given highest weights of the folded action's datum."""
     rows = {}
     for lam in lams:
-        for cls, mult in restrict_to_fixed_group(datum, action, lam, folded):
+        for cls, mult in restrict_to_fixed_group(folded, lam):
             if cls not in rows:
                 char = character_with_torsion(folded, cls)
                 rows[cls] = {
@@ -379,6 +372,4 @@ def highest_weight_table(datum, action, lams, folded=None):
                 }
             rows[cls]["provenance"].append((tuple(lam), mult))
     height = folded.datum.two_rho_check
-    return sorted(rows.values(),
-                  key=lambda r: (-dot(height, r["mu"].free), r["mu"].free,
-                                 r["mu"].torsion))
+    return sorted(rows.values(), key=lambda r: (-dot(height, r["mu"].free), r["mu"]))

@@ -45,7 +45,7 @@ costs a memo lookup and one small matrix times vector, with no Smith-form
 lift or projection.
 """
 
-from itertools import chain, product as iproduct
+from itertools import chain
 from math import gcd
 
 from .errors import EchelonnageError, ElementParseError, InternalInvariantError
@@ -93,10 +93,7 @@ class RelWeylGroup(FiniteReflectionGroup):
         for w in self.elements:
             w.abs_mat, w.class_mat = invariant[w.mat]
         self.reflections = tuple(self.by_matrix[r] for r in refl)
-        ntors = len(coinv.torsion)
-        for k in range(f + ntors):
-            unit = tuple(int(i == k) for i in range(f + ntors))
-            b = coinv.make(unit[:f], unit[f:])
+        for b in coinv.basis():
             for s in self.simple_reflections:
                 if self.act_class(s, b) != coinv.act(s.abs_mat, b):
                     raise InternalInvariantError(
@@ -271,13 +268,10 @@ class IwahoriWeylGroup:
     def _build_relative_roots(self):
         datum = self.datum
         co = self.coinv
-        f = co.free_rank
         # each free basis class is realized by the orbit sum of a lift:
         # |Gamma| times its invariant (average) representative, in integers
         realized = []
-        for k in range(f):
-            rep = co.lift(co.make(tuple(int(i == k) for i in range(f)),
-                                  (0,) * len(co.torsion)))
+        for rep in map(co.lift, co.basis()[:co.free_rank]):
             images = [mat_vec(g, rep) for g in self.action.dual.group_elements]
             realized.append(tuple(map(sum, zip(*images))))
         positive = set(datum.positive_indices)
@@ -383,13 +377,8 @@ class IwahoriWeylGroup:
         return tuple(d // c for d in diff)
 
     def _unit_class(self, w_vec):
-        co = self.coinv
-        choices = [range(d) for d in co.torsion]
-        hits = []
-        for tors in iproduct(*choices):
-            cls = co.make(w_vec, tors)
-            if self._kottwitz_of_class(cls).is_zero():
-                hits.append(cls)
+        hits = [cls for cls in self.coinv.classes([w_vec])
+                if self._kottwitz_of_class(cls).is_zero()]
         if len(hits) != 1:
             raise EchelonnageError(
                 "wall translation class is not uniquely determined by the "
@@ -726,13 +715,7 @@ class IwahoriWeylGroup:
         whose components all look alike; enumeration-style checks quantify
         over the torsion classes only.
         """
-        reps = {}
         pi1 = self.pi1
-        choices = [range(d) for d in pi1.torsion]
-        for tors in iproduct(*choices):
-            c = pi1.make((0,) * pi1.free_rank, tors)
-            lifted = self.coinv.project(pi1.lift(c))
-            om = self.translation(lifted).omega
-            key = (c.free, c.torsion)
-            reps[key] = om
-        return reps
+        return {(c.free, c.torsion):
+                self.translation(self.coinv.project(pi1.lift(c))).omega
+                for c in pi1.classes([(0,) * pi1.free_rank])}

@@ -29,11 +29,7 @@ def run_selftest():
         group = load_group(name)
         _check(f"{name}: preset builds and validates", True)
         co = group.coinv
-        box = range(-2, 3)
-        sample = []
-        for free in iproduct(*[box] * co.free_rank):
-            for tors in iproduct(*[range(d) for d in co.torsion]):
-                sample.append(co.make(free, tors))
+        sample = co.classes(iproduct(*[range(-2, 3)] * co.free_rank))
         ok = all(group.translation(c).length ==
                  group.pairing_two_rho(group.dominant_class(c))
                  for c in sample)
@@ -48,13 +44,11 @@ def run_selftest():
             facet.is_special()  # raises when the two criteria disagree
         _check(f"{name}: speciality criteria agree on all facets", True)
     # highest-weight spot checks
-    act = load_action("a1xa1-sc", "swap")
-    fd = fold(act)
-    dec = hw.restrict_to_fixed_group(act.datum, act, (1, 1), fd)
+    fd = fold(load_action("a1xa1-sc", "swap"))
+    dec = hw.restrict_to_fixed_group(fd, (1, 1))
     ok = [(c.free, m) for c, m in dec] == [((2,), 1), ((0,), 1)]
     _check("a1xa1 swap: restriction reproduces the tensor-square split", ok)
-    act = load_action("d3", "swap")
-    fd = fold(act)
+    fd = fold(load_action("d3", "swap"))
     mu = fd.char_coinv.make((0, 1), (0,))
     ch = hw.character_with_torsion(fd, mu)
     ok = hw.induced_dimension(fd, mu) == 2 * ch.dimension()

@@ -224,7 +224,7 @@ def test_criterion_8_highest_weight_theory():
             assert hw.induced_dimension(fd, mu) == 2 * ch.dimension()
     # Clebsch-Gordan via the factor swap
     act = load_action("a1xa1-sc", "swap")
-    dec = hw.restrict_to_fixed_group(act.datum, act, (1, 1), fold(act))
+    dec = hw.restrict_to_fixed_group(fold(act), (1, 1))
     assert [(c.free, m) for c, m in dec] == [((2,), 1), ((0,), 1)]
     print("ACCEPTANCE 8 (highest-weight theory): PASS")
 

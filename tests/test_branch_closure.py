@@ -150,7 +150,7 @@ def test_inflated_reflected_weight_fails_the_alternating_sum(monkeypatch, name, 
 
     monkeypatch.setattr(hw, "closure", inflated)
     with pytest.raises(PeelingError, match="^negative multiplicity while peeling$"):
-        hw.restrict_to_fixed_group(act.datum, act, lam, fd)
+        hw.restrict_to_fixed_group(fd, lam)
 
 
 @pytest.mark.parametrize("name,lam", SWAPS)
@@ -171,4 +171,4 @@ def test_inflated_lowest_orbit_fails_the_dimension_check(monkeypatch, name, lam)
 
     monkeypatch.setattr(hw, "freudenthal", inflated)
     with pytest.raises(PeelingError, match="^constituent dimensions do not sum to lam's$"):
-        hw.restrict_to_fixed_group(act.datum, act, lam, fd)
+        hw.restrict_to_fixed_group(fd, lam)

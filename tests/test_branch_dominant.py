@@ -52,7 +52,7 @@ def test_dominant_peel_matches_the_full_weight_peel(name, action, data):
     act = load_action(name, action)
     fd = fold(act)
     lam = _dominant(act.datum, data)
-    dec = hw.restrict_to_fixed_group(act.datum, act, lam, fd)
+    dec = hw.restrict_to_fixed_group(fd, lam)
     assert dec == full_weight_peel(act.datum, lam, fd), (name, action, lam)
     _check_constituents(fd, dec)
     assert dec == dominant_peel(act.datum, lam, fd), (name, action, lam)
@@ -67,7 +67,7 @@ def test_pool_commands_match_the_full_weight_routes():
         act = load_action(args.preset, args.action)
         fd = fold(act)
         if args.command == "branch":
-            dec = hw.restrict_to_fixed_group(act.datum, act, args.lam, fd)
+            dec = hw.restrict_to_fixed_group(fd, args.lam)
             assert dec == full_weight_peel(act.datum, args.lam, fd), entry["argv"]
         else:
             co = fd.char_coinv
@@ -82,7 +82,7 @@ def test_large_weights_match_the_dominant_peel(name, lam):
     Z/2 torsion and a2-sc's restricted system is nonreduced."""
     act = load_action(name, "swap")
     fd = fold(act)
-    dec = hw.restrict_to_fixed_group(act.datum, act, lam, fd)
+    dec = hw.restrict_to_fixed_group(fd, lam)
     assert dec == dominant_peel(act.datum, lam, fd)
 
 
@@ -101,10 +101,9 @@ def test_a_fold_without_rho_one_is_an_internal_error():
     <1^vee, 2 rho'> = 2 * 3 = 6) is refused before any weight is walked."""
     co = CoinvariantLattice(1, [])
     bc1 = BasedRootDatum(1, ((1,), (2,), (-1,), (-2,)), ((2,), (1,), (-2,), (-1,)), (0,))
-    fd = FoldedDatum(None, co, bc1, (), ((),), (), True)
-    act = load_action("t1", None)
+    fd = FoldedDatum(load_action("t1", None), co, bc1, (), ((),), (), True)
     with pytest.raises(InternalInvariantError, match="2 rho"):
-        hw.restrict_to_fixed_group(act.datum, act, (1,), fd)
+        hw.restrict_to_fixed_group(fd, (1,))
 
 
 def test_orbit_walk_carries_order_three_torsion():

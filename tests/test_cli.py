@@ -369,6 +369,19 @@ def test_coordinate_count_errors_are_named(args):
     assert "error[error]" not in r.stderr
 
 
+@pytest.mark.parametrize("preset,message", [
+    ("a2-sc", "mu needs 2 coordinates"),
+    ("folded-a3", "mu needs 3 (absolute) or 2 (class) coordinates"),
+])
+def test_adm_coordinate_count_names_each_count_once(preset, message):
+    """One count when the absolute and class counts agree, both otherwise."""
+    from affweyl import cli
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["adm", "--preset", preset, "--mu", "1"]) == 2
+    assert err.getvalue() == f"error[cli.coordinate_count]: {message}\n"
+
+
 @pytest.mark.parametrize("args,value", [
     (("adm", "--preset", "d3", "--mu"), "-1,0,0"),
     (("branch", "--preset", "d3", "--action", "swap", "--lambda"), "-1,0,0"),

@@ -190,6 +190,14 @@ def test_admissible_cap(group_of):
         fc.admissible_set(group, (40,), None, length_cap=10)
 
 
+def test_admissible_default_cap_is_64(group_of):
+    """t^(64,) on PGL2 has length 64, at the default cap; t^(65,) is over."""
+    group = group_of("a1-ad")
+    assert len(fc.admissible_set(group, (64,)).elements) == 129
+    with pytest.raises(CapExceededError, match="^translation length 65 exceeds cap 64$"):
+        fc.admissible_set(group, (65,))
+
+
 def test_admissible_maxima_closed_form(group_of):
     """Maxima = translations by the facet-dominant orbit representatives,
     counted by double cosets, all of length <mu, 2rho>."""

@@ -1,6 +1,8 @@
 """Coinvariant lattices, pinned actions and folding."""
 
+import random
 import sys
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from affweyl.folding import (CoinvariantLattice, PinnedAction, coinvariants, fol
                              trivial_action)
 from affweyl.linalg import (dot, identity, mat_inverse_int, mat_mul, mat_transpose,
                             mat_vec, vec_sub)
-from affweyl.presets import load_action, load_datum
+from affweyl.presets import load_action, load_datum, load_group
 from test_branch_closure import FOLDS
 
 
@@ -240,3 +242,41 @@ def test_lattice_build_makes_no_unimodular_inverse(monkeypatch):
     for n, cols in relations + [(1, [(2,)]), (3, [(2, 4, 0), (0, 6, 0)])]:
         lat = CoinvariantLattice(n, cols)
         assert lat.uinv == orig(lat.u)
+
+
+@pytest.mark.parametrize("name,free_rank,torsion", [
+    ("t1-inv", 0, (2,)), ("folded-d3", 2, (2,)), ("a3-sc", 3, ())])
+def test_classes_and_basis(name, free_rank, torsion):
+    """``classes``: each free part with every torsion part, free part outer,
+    torsion inner and reduced; ``basis``: the unit classes, free first."""
+    co = load_group(name).coinv
+    assert (co.free_rank, co.torsion) == (free_rank, torsion)
+    free_parts = [(0,) * free_rank, (1,) * free_rank, tuple(range(-1, free_rank - 1))]
+    out = list(co.classes(free_parts))
+    n_tors = prod(torsion)
+    assert len(out) == len(free_parts) * n_tors
+    assert [c.free for c in out] == [p for p in free_parts for _ in range(n_tors)]
+    torsion_parts = [(t,) for t in range(n_tors)] if torsion else [()]
+    assert [c.torsion for c in out] == torsion_parts * len(free_parts)
+    assert all(0 <= t < d for c in out for t, d in zip(c.torsion, torsion))
+    basis = co.basis()
+    assert len(basis) == co.free_rank + len(co.torsion)
+    assert [b.free + b.torsion for b in basis] == list(identity(len(basis)))
+
+
+def test_classes_run_the_torsion_lexicographically():
+    co = CoinvariantLattice(2, [(2, 0), (0, 2)])
+    assert (co.free_rank, co.torsion) == (0, (2, 2))
+    assert [c.torsion for c in co.classes([()])] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [b.torsion for b in co.basis()] == [(1, 0), (0, 1)]
+
+
+def test_classes_sort_by_free_then_torsion():
+    co = load_group("folded-d3").coinv
+    out = list(co.classes([(1, 0), (0, 1), (0, 0), (-1, 2)]))
+    shuffled = out[:]
+    random.Random(0).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(out, key=lambda c: (c.free, c.torsion))
+    assert co.make((0, 0), (1,)) < co.make((0, 1), (0,))
+    assert co.make((0, 1), (0,)) < co.make((0, 1), (1,))
+    assert not co.make((0, 1), (1,)) < co.make((0, 1), (1,))

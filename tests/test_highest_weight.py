@@ -199,17 +199,17 @@ def test_restriction_identity_action():
     a2 = load_datum("a2-sc")
     act = trivial_action(a2)
     fd = fold(act)
-    dec = hw.restrict_to_fixed_group(a2, act, (1, 1), fd)
+    dec = hw.restrict_to_fixed_group(fd, (1, 1))
     assert len(dec) == 1
     cls, mult = dec[0]
     assert mult == 1 and cls.free == (1, 1)
-    assert hw.restrict_to_fixed_group(a2, act, (0, 0), fd)[0][1] == 1
+    assert hw.restrict_to_fixed_group(fd, (0, 0))[0][1] == 1
 
 
 def test_clebsch_gordan_via_swap():
     act = load_action("a1xa1-sc", "swap")
     fd = fold(act)
-    dec = hw.restrict_to_fixed_group(act.datum, act, (1, 1), fd)
+    dec = hw.restrict_to_fixed_group(fd, (1, 1))
     assert [(c.free, m) for c, m in dec] == [((2,), 1), ((0,), 1)]
     # an independent tensor-character oracle: multiply two sl2 characters
     a1 = load_datum("a1-sc")
@@ -242,7 +242,7 @@ def test_restriction_preserves_dimension():
             if not act.datum.is_dominant_char(lam):
                 continue
             total = hw.weyl_dimension(act.datum, lam)
-            dec = hw.restrict_to_fixed_group(act.datum, act, lam, fd)
+            dec = hw.restrict_to_fixed_group(fd, lam)
             got = sum(hw.character_with_torsion(fd, c).dimension() * m
                       for c, m in dec)
             assert got == total
@@ -263,17 +263,17 @@ def test_restriction_nonreduced_case():
     act = load_action("a2-sc", "swap")
     fd = fold(act)
     assert fd.nonreduced
-    dec = hw.restrict_to_fixed_group(act.datum, act, (1, 1), fd)
+    dec = hw.restrict_to_fixed_group(fd, (1, 1))
     assert sum(hw.character_with_torsion(fd, c).dimension() * m
                for c, m in dec) == 8
 
 
 def test_highest_weight_table():
-    act = load_action("a3-sc", "swap")
-    rows = hw.highest_weight_table(act.datum, act, [(1, 0, 0), (0, 1, 0)])
+    fd = fold(load_action("a3-sc", "swap"))
+    rows = hw.highest_weight_table(fd, [(1, 0, 0), (0, 1, 0)])
     assert rows
     for row in rows:
-        ch = hw.character_with_torsion(fold(act), row["mu"])
+        ch = hw.character_with_torsion(fd, row["mu"])
         assert row["dim"] == ch.dimension()
         assert row["provenance"]
-    assert hw.highest_weight_table(act.datum, act, []) == []
+    assert hw.highest_weight_table(fd, []) == []

@@ -12,7 +12,8 @@ import pytest
 
 from affweyl.errors import ElementParseError
 from affweyl.facets import admissible_set
-from affweyl.presets import load_group
+from affweyl.iwahori import IwahoriWeylGroup
+from affweyl.presets import load_action, load_group
 from oracles import subword_downset
 
 
@@ -273,3 +274,8 @@ def test_threads_agree_on_each_element():
                 assert adm == results[0]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_group_name_defaults_to_the_datum_name_with_iw():
+    assert IwahoriWeylGroup(load_action("a1-ad", None)).name == "a1-ad-iw"
+    assert IwahoriWeylGroup(load_action("a1-ad", None), name="x").name == "x"
