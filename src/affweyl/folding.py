@@ -12,7 +12,11 @@ of coroots (doubled when two orbit members sum to a root, which is the
 nonreduced case; the flag is recorded and the Coxeter realization of the
 nonreduced restricted system is deferred to the wall tables of the affine
 layer).  A fold carries its action, so restriction along it needs nothing
-else.
+else.  The fold of a group's dual action is its relative root system:
+``iwahori.IwahoriWeylGroup`` reads its translation classes (``char_coinv``),
+its lines (the positive coroots) and W0 (the Weyl group of ``datum.dual``)
+from that one fold, and W0's class matrices from the simple roots with their
+torsion (``simple_torsion``).
 """
 
 from functools import cached_property
@@ -244,21 +248,6 @@ class CoinvariantLattice:
     def act(self, ambient_matrix, cls):
         """Induced action of a relation-preserving ambient matrix."""
         return self.project(mat_vec(ambient_matrix, self.lift(cls)))
-
-    def class_matrix(self, ambient_matrix):
-        """Integer matrix of ``act(ambient_matrix, -)`` on class coordinates.
-
-        Rows and columns run over the free then the torsion coordinates, so
-        the image of a class with coordinates c has coordinates M c, torsion
-        taken mod its factor.  M is read off u A u^-1, with each torsion row
-        reduced mod its factor.
-        """
-        conj = mat_mul(mat_mul(self.u, ambient_matrix), self.uinv)
-        pos = self.free_positions + self.torsion_positions
-        return tuple(
-            tuple(conj[i][j] % self.diagonal[i] if self.diagonal[i] else conj[i][j]
-                  for j in pos)
-            for i in pos)
 
     def relation_column(self, j):
         return tuple(self.relation_matrix[i][j] for i in range(self.ambient_rank))

@@ -15,14 +15,14 @@ Wall data
 ---------
 Every vector is exact in integers: a point of V is an integer vector over a
 positive denominator (the base point is p0_num / p0_den), and a relative
-root is the integer covector of a root on the orbit sums of lifts of the
-free basis classes (|Gamma| times the invariant lift).  Hyperplane families
-are integer covectors c with walls {v : c(v) in Z}, one per line of
-relative roots.  A split group takes the covector of each positive root;
-a twisted group takes a declared table (``presets`` reads it from wall
-strides), validated against lattice preservation, Weyl symmetry of the
-arrangement and integrality of the wall reflections, so a wrong table
-fails at construction time rather than corrupting lengths.
+root is a coroot of ``fold(action.dual)``, an integer covector on the free
+class coordinates.  Hyperplane families are integer covectors c with walls
+{v : c(v) in Z}, one per line of relative roots.  A split group takes the
+covector of each positive root; a twisted group takes a declared table
+(``presets`` reads it from wall strides), validated against lattice
+preservation, Weyl symmetry of the arrangement and integrality of the wall
+reflections, so a wrong table fails at construction time rather than
+corrupting lengths.
 
 A group holds one object per element, keyed by (class, W0 index), so
 equality is identity (``setdefault`` makes threads agree on the object).
@@ -37,9 +37,11 @@ value any later fill would give.
 
 Products
 --------
-An element is a pair (translation class, W0 element).  The relative Weyl
-group W0 is a ``root_data.FiniteReflectionGroup``: its products walk a left
-table once and are memoized.  It also keeps one integer matrix per element
+An element is a pair (translation class, W0 element).  A group folds its
+dual action once (``dual_fold``): the translation classes are the fold's
+character-side coinvariants, the lines run through its positive coroots,
+and W0 is the Weyl group of its ``datum.dual`` (``RelWeylGroup``).  W0's products walk a
+left table once and are memoized, and each element keeps an integer matrix
 on (free, torsion) class coordinates, so (c, w)(c', w') = (c + w(c'), ww')
 costs a memo lookup and one small matrix times vector, with no Smith-form
 lift or projection.
@@ -49,76 +51,64 @@ from itertools import chain
 from math import gcd
 
 from .errors import EchelonnageError, ElementParseError, InternalInvariantError
-from .folding import CoinvariantLattice, coinvariants, invariant_pairing
+from .folding import CoinvariantLattice, fold, invariant_pairing
 from .linalg import (dot, identity, integer_left_inverse, mat_mul, mat_transpose,
                      mat_vec, primitive_covector, scaled_coordinates, vec_add,
-                     vec_scale, vec_sub)
-from .root_data import FiniteReflectionGroup, closure
+                     vec_scale)
+from .root_data import FiniteReflectionGroup, closure, reflection_matrix
+
+
+def relative_lines(folded):
+    """(index, line) for each line of the fold's roots: the index of its
+    positive root in ``folded.datum`` and the primitive covector of that
+    root's coroot, simple lines first in orbit order, the rest sorted."""
+    fd = folded.datum
+    rest = sorted((i for i in fd.positive_indices if i not in fd.simples),
+                  key=lambda i: primitive_covector(fd.coroots[i]))
+    return [(i, primitive_covector(fd.coroots[i])) for i in (*fd.simples, *rest)]
 
 
 class RelWeylGroup(FiniteReflectionGroup):
-    """The relative Weyl group: invariant elements of the absolute one,
-    acting on the coinvariant lattice.
-
-    The group is closed on free class-coordinate matrices from the simple
-    relative reflections, and the closure is checked to be the whole
-    invariant group.  Each element also carries its ambient matrix and its
-    class-coordinate matrix, so the action on classes never goes through
-    the Smith form.  ``reflections[i]`` is the reflection in the i-th line
-    of ``line_covectors``; the first ``n_simple`` lines are the simple ones.
+    """W0: the Weyl group of ``folded.datum.dual``, closed on free class
+    coordinates, each element with its matrix on (free, torsion) class
+    coordinates.  A folded simple root beta with torsion tau and coroot
+    beta^vee gives s(c) = c - beta^vee(c) (beta | tau), the matrix
+    I - (beta | tau)(beta^vee | 0)^T with torsion rows reduced mod their
+    factors; other elements' matrices are products along their words.
+    ``reflections[i]`` is the reflection in the fold's root ``line_roots[i]``.
     """
 
-    def __init__(self, action, coinv, line_covectors, n_simple):
-        self.action = action
-        self.coinv = coinv
-        f = coinv.free_rank
-        invariant = {}
-        for w in action.datum.weyl.elements:
-            if all(mat_mul(w.mat, g) == mat_mul(g, w.mat)
-                   for g in action.cochar_generators):
-                cm = coinv.class_matrix(w.mat)
-                fm = tuple(row[:f] for row in cm[:f])
-                if fm in invariant:
-                    raise InternalInvariantError(
-                        "relative Weyl group does not act faithfully on coinvariants")
-                invariant[fm] = (w.mat, cm)
-        ident = identity(f)
-        involutions = [fm for fm in sorted(invariant)
-                       if fm != ident and mat_mul(fm, fm) == ident]
-        refl = [self._find_reflection(involutions, cov) for cov in line_covectors]
-        super().__init__(ident, refl[:n_simple])
-        if [w.mat for w in self.elements] != sorted(invariant):
-            raise InternalInvariantError(
-                "simple relative reflections do not generate the invariant Weyl group")
-        for w in self.elements:
-            w.abs_mat, w.class_mat = invariant[w.mat]
-        self.reflections = tuple(self.by_matrix[r] for r in refl)
-        for b in coinv.basis():
-            for s in self.simple_reflections:
-                if self.act_class(s, b) != coinv.act(s.abs_mat, b):
-                    raise InternalInvariantError(
-                        "tabled class action disagrees with the coinvariant action")
+    def __init__(self, folded, line_roots):
+        fd = folded.datum
+        refl = {i: reflection_matrix(fd.coroots[i], fd.roots[i], fd.rank)
+                for i in fd.positive_indices}
+        super().__init__(identity(fd.rank), [refl[i] for i in fd.simples])
+        self.coinv = co = folded.char_coinv
+        factors = (0,) * co.free_rank + co.torsion
 
-    @staticmethod
-    def _find_reflection(involutions, cov):
-        """The involution fixing the hyperplane cov = 0 pointwise.
+        def reduced(m):
+            return tuple(tuple(x % d if d else x for x in row)
+                         for row, d in zip(m, factors))
 
-        The hyperplane is spanned by the primitive integer vectors
-        cov[p] e_j - cov[j] e_p, p the first nonzero entry of cov, j != p.
-        """
-        n = len(cov)
-        p = next(i for i, c in enumerate(cov) if c)
-        kernel = []
-        for j in range(n):
-            if j != p:
-                v = [cov[p] * (i == j) - cov[j] * (i == p) for i in range(n)]
-                g = gcd(*v)
-                kernel.append(tuple(x // g for x in v))
-        hits = [m for m in involutions if all(mat_vec(m, b) == b for b in kernel)]
-        if len(hits) != 1:
-            raise InternalInvariantError(
-                f"{len(hits)} reflections fix the hyperplane of a relative line")
-        return hits[0]
+        simple = [reduced(reflection_matrix(cov + (0,) * len(tau), beta + tau,
+                                            len(factors)))
+                  for beta, tau, cov in zip(fd.simple_roots, folded.simple_torsion,
+                                            fd.simple_coroots)]
+        # a word's shorter suffix comes first in length order
+        for w in sorted(self.elements, key=lambda w: w.length):
+            w.class_mat = reduced(mat_mul(
+                simple[w.word[0]], self.element_from_word(w.word[1:]).class_mat)
+            ) if w.word else identity(len(factors))
+        self.reflections = tuple(self.by_matrix[refl[i]] for i in line_roots)
+        # on cocharacters s_i is its orbit's longest element of the absolute W
+        weyl = folded.action.datum.dual.weyl
+        for (orbit, _), s in zip(folded.orbit_map, self.simple_reflections):
+            gens = [weyl.simple_reflections[k] for k in orbit]
+            top = max(closure([weyl.identity], lambda w: (w * g for g in gens)),
+                      key=lambda w: w.length)
+            if any(self.act_class(s, b) != co.act(top.mat, b) for b in co.basis()):
+                raise InternalInvariantError(
+                    "tabled class action disagrees with the coinvariant action")
 
     def act_class(self, w, cls):
         """The class w(cls), through w's class-coordinate matrix."""
@@ -211,8 +201,13 @@ class IwahoriWeylElement:
 
 
 def _element_ints(body, part):
+    """The integers of a comma-separated list, which may be empty but may
+    not have an empty entry."""
+    entries = body.split(",") if body.strip() else []
+    if not all(map(str.strip, entries)):
+        raise ElementParseError(f"empty entry in element part {part!r}")
     try:
-        return [int(x) for x in body.split(",") if x.strip() != ""]
+        return [int(x) for x in entries]
     except ValueError:
         raise ElementParseError(f"non-integer entry in element part {part!r}") from None
 
@@ -245,7 +240,9 @@ class IwahoriWeylGroup:
         self.action = action
         self.datum = action.datum
         self.name = name or (action.datum.name + "-iw")
-        self.coinv = coinvariants(action.dual)
+        # the classes, the lines and W0 all come from the fold of the dual
+        self.dual_fold = fold(action.dual)
+        self.coinv = self.dual_fold.char_coinv
         self._elements = {}
         # one {g: dc_rep(g, J)} per set of letters J, filled by dc_reps
         self._dc_memos = {}
@@ -258,63 +255,22 @@ class IwahoriWeylGroup:
     # -- construction --------------------------------------------------------
 
     def _build_pi1(self):
-        n = self.datum.rank
-        cols = [cv for cv in self.datum.coroots]
         co = self.coinv
-        for j in range(co.num_relations):
-            cols.append(co.relation_column(j))
-        self.pi1 = CoinvariantLattice(n, cols)
+        self.pi1 = CoinvariantLattice(self.datum.rank, list(self.datum.coroots) + [
+            co.relation_column(j) for j in range(co.num_relations)])
 
     def _build_relative_roots(self):
-        datum = self.datum
-        co = self.coinv
-        # each free basis class is realized by the orbit sum of a lift:
-        # |Gamma| times its invariant (average) representative, in integers
-        realized = []
-        for rep in map(co.lift, co.basis()[:co.free_rank]):
-            images = [mat_vec(g, rep) for g in self.action.dual.group_elements]
-            realized.append(tuple(map(sum, zip(*images))))
-        positive = set(datum.positive_indices)
-        seen = {}
-        # (integer covector on the realized basis, positive): the direction,
-        # sign and equalities of the covector on the invariant lifts
-        self.rel_roots = []
-        for idx, r in enumerate(datum.roots):
-            cov = tuple(dot(real, r) for real in realized)
-            pos = idx in positive
-            if cov in seen:
-                if self.rel_roots[seen[cov]][1] != pos:
-                    raise InternalInvariantError("relative positivity is inconsistent")
-            else:
-                seen[cov] = len(self.rel_roots)
-                self.rel_roots.append((cov, pos))
-        for cov, pos in self.rel_roots:
-            neg = tuple(-x for x in cov)
-            if pos and neg in seen and self.rel_roots[seen[neg]][1]:
-                raise InternalInvariantError(
-                    "a relative root and its negative are both positive")
-        # lines through positive relative roots, simple lines first
-        simple_first = []
-        for i in datum.simples:
-            cov = tuple(dot(real, datum.roots[i]) for real in realized)
-            prim = primitive_covector(cov)
-            if prim not in simple_first:
-                simple_first.append(prim)
-        others = []
-        for cov, pos in self.rel_roots:
-            if not pos:
-                continue
-            prim = primitive_covector(cov)
-            if prim not in simple_first and prim not in others:
-                others.append(prim)
-        others.sort()
-        self.line_primitives = tuple(simple_first + others)
-        self.n_simple_lines = len(simple_first)
+        # the relative roots are the fold's coroots, integer covectors on the
+        # free class coordinates
+        fd = self.dual_fold.datum
+        self.rel_roots = [(cov, i in fd.positive_indices) for i, cov in enumerate(fd.coroots)]
+        lines = relative_lines(self.dual_fold)
+        self.line_primitives = tuple(line for _, line in lines)
+        self.n_simple_lines = len(fd.simples)
         # the line of every relative root direction, under either sign
-        self.line_ids = {}
-        for line_id, prim in enumerate(self.line_primitives):
-            self.line_ids[prim] = self.line_ids[tuple(-x for x in prim)] = line_id
-        self.w0 = RelWeylGroup(self.action, co, self.line_primitives, self.n_simple_lines)
+        self.line_ids = {tuple(sign * x for x in prim): line_id for sign in (-1, 1)
+                         for line_id, prim in enumerate(self.line_primitives)}
+        self.w0 = RelWeylGroup(self.dual_fold, [i for i, _ in lines])
 
     def _kottwitz_of_class(self, cls):
         return self.pi1.project(self.coinv.lift(cls))
@@ -337,8 +293,7 @@ class IwahoriWeylGroup:
             if line_id in assigned:
                 raise EchelonnageError("duplicate wall entry for a root direction")
             assigned[line_id] = cov
-        missing = [self.line_primitives[i] for i in range(len(self.line_primitives))
-                   if i not in assigned]
+        missing = [p for i, p in enumerate(self.line_primitives) if i not in assigned]
         if missing:
             raise EchelonnageError(f"wall table gap: no entry for {missing}")
         self.families = []
@@ -350,10 +305,8 @@ class IwahoriWeylGroup:
             self.families.append(WallFamily(line_id, cprime, w_vec, unit_class, s_lin))
         # the finite Weyl group must permute the wall families (and their
         # negatives); its simple reflections generate it
-        famset = set()
-        for fam in self.families:
-            famset.add(fam.covector)
-            famset.add(tuple(-x for x in fam.covector))
+        famset = {tuple(sign * x for x in fam.covector)
+                  for fam in self.families for sign in (-1, 1)}
         for s in self.w0.simple_reflections:
             st = mat_transpose(s.mat)
             for fam in self.families:
@@ -362,15 +315,10 @@ class IwahoriWeylGroup:
                         "wall arrangement is not Weyl-symmetric; bad stride table")
 
     def _w_vec(self, cprime, s_lin):
-        f = self.coinv.free_rank
-        x0 = None
-        for k in range(f):
-            e = tuple(1 if i == k else 0 for i in range(f))
-            if dot(cprime, e) != 0:
-                x0 = e
-                break
-        diff = vec_sub(x0, mat_vec(s_lin.mat, x0))
-        c = dot(cprime, x0)
+        """w with s_lin(x) = x - cprime(x) w, read off at the first unit
+        vector e_k with c = cprime(e_k) nonzero: e_k - s_lin(e_k) = c w."""
+        k, c = next((k, c) for k, c in enumerate(cprime) if c)
+        diff = [int(i == k) - row[k] for i, row in enumerate(s_lin.mat)]
         if any(d % c for d in diff):
             raise EchelonnageError(
                 "wall reflections do not preserve the translation lattice")
@@ -665,7 +613,6 @@ class IwahoriWeylGroup:
     # -- element parsing / printing ---------------------------------------------------
 
     def element_to_string(self, g):
-        co = self.coinv
         coords = list(g.cls.free) + list(g.cls.torsion)
         t = "t[%s]" % ",".join(str(x) for x in coords)
         if g.w.is_identity():
@@ -676,6 +623,7 @@ class IwahoriWeylGroup:
         return t + "*" + w
 
     def element_from_string(self, text):
+        """The product of the factors t[...] and w[...], left to right."""
         text = text.strip()
         if not text or text in ("e", "1"):
             return self.identity()
@@ -684,8 +632,10 @@ class IwahoriWeylGroup:
         for part in text.split("*"):
             part = part.strip()
             if part.startswith("t[") and part.endswith("]"):
-                coords = _element_ints(part[2:-1].replace(";", ","), part)
-                cls = cls + self.class_from_coords(coords)
+                # free;torsion, as a class prints: either side may be empty
+                coords = [x for side in part[2:-1].split(";")
+                          for x in _element_ints(side, part)]
+                cls = cls + self.w0.act_class(w, self.class_from_coords(coords))
             elif part.startswith("w[") and part.endswith("]"):
                 for ell in _element_ints(part[2:-1], part):
                     if not 1 <= ell <= self.n_simple_lines:

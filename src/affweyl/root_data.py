@@ -10,7 +10,10 @@ coinvariants) is sensitive to it.
 
 The Weyl group is generated by closure from the simple reflections and
 elements carry a canonical reduced word (lexicographically least), so all
-outputs are deterministic.
+outputs are deterministic.  The relative Weyl group W0 of an Iwahori-Weyl
+group runs on the same core (``iwahori.RelWeylGroup``): it is the Weyl group
+of ``fold(action.dual).datum.dual``, whose cocharacters are the free class
+coordinates.
 """
 
 from functools import cached_property
@@ -235,21 +238,20 @@ class WeylElement:
     absolute Weyl group, free class coordinates for a relative one) and
     ``word`` the lexicographically least reduced word in the simple
     reflections.  On characters w acts as the element of ``datum.dual.weyl``
-    with the same word.  The relative group fills ``abs_mat`` (ambient
-    cocharacters) and ``class_mat`` ((free, torsion) class coordinates).
-    Elements hash by index, so elements with one index in two loads of a
-    datum hash alike.
+    with the same word.  The relative group fills ``class_mat`` ((free,
+    torsion) class coordinates).  Elements hash by index, so elements with
+    one index in two loads of a datum hash alike.
     """
 
-    __slots__ = ("group", "index", "mat", "word", "abs_mat", "class_mat",
-                 "_products", "_inverse")
+    __slots__ = ("group", "index", "mat", "word", "class_mat", "_products",
+                 "_inverse")
 
     def __init__(self, group, index, mat, word):
         self.group = group
         self.index = index
         self.mat = mat
         self.word = word
-        self.abs_mat = self.class_mat = self._inverse = None
+        self.class_mat = self._inverse = None
         self._products = {}
 
     @property

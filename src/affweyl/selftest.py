@@ -55,11 +55,11 @@ def run_selftest():
     _check("d3 swap: induction dimension is |pi0| * dim", ok)
     # Satake weights (criterion 10) on a non-split group with torsion in pi1
     group = load_group("folded-d3")
-    co, fd = group.coinv, fold(group.action.dual)
+    fd = group.dual_fold
     special = [f for f in fc.enumerate_facets(group) if f.letters and f.is_special()]
     ok = all(fc.admissible_set(group, mu, f).elements == {
-        group.dc_rep(group.translation(co.make(w.free, w.torsion)), f.letters)
-        for w in hw.character_with_torsion(fd, fd.char_coinv.make(mu.free, mu.torsion)).entries}
+        group.dc_rep(group.translation(w), f.letters)
+        for w in hw.character_with_torsion(fd, mu).entries}
         for mu in fc.default_mu_sample(group)[:3] for f in special)
     _check("folded-d3: Adm^K(mu) = {dc_rep(t^lam) : lam a weight of V_mu}, K special", ok)
     print("selftest passed for %d presets" % len(GROUP_PRESETS))

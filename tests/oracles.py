@@ -10,7 +10,7 @@ from math import lcm
 
 from affweyl import highest_weight as hw
 from affweyl.errors import InternalInvariantError, PeelingError
-from affweyl.linalg import dot, identity, mat_vec, vec_add, vec_sub
+from affweyl.linalg import dot, identity, mat_mul, mat_vec, vec_add, vec_sub
 from affweyl.root_data import closure
 from affweyl.smith import smith_normal_form
 
@@ -49,6 +49,41 @@ def subword_downset(group, g):
             states |= {x * s for x in states}
         reachable |= states
     return {x * om for x in reachable}
+
+
+# -- the relative Weyl group from the absolute one -----------------------------------
+
+
+def class_matrix(coinv, ambient_matrix):
+    """Integer matrix of ``coinv.act(ambient_matrix, -)`` on class
+    coordinates, free then torsion, read off u A u^-1 with each torsion row
+    reduced mod its factor."""
+    conj = mat_mul(mat_mul(coinv.u, ambient_matrix), coinv.uinv)
+    pos = coinv.free_positions + coinv.torsion_positions
+    return tuple(
+        tuple(conj[i][j] % coinv.diagonal[i] if coinv.diagonal[i] else conj[i][j]
+              for j in pos)
+        for i in pos)
+
+
+def invariant_weyl_scan(group):
+    """{free class matrix: (ambient matrix, class matrix)} over the elements
+    of the absolute Weyl group that commute with the action, each read from
+    its definition through the Smith form: W^Gamma, which Steinberg's theorem
+    makes W0.  Two invariant elements with one free matrix (an action that
+    is not faithful on the classes) raise."""
+    action, co = group.action, group.coinv
+    f = co.free_rank
+    invariant = {}
+    for w in action.datum.weyl.elements:
+        if all(mat_mul(w.mat, g) == mat_mul(g, w.mat) for g in action.cochar_generators):
+            cm = class_matrix(co, w.mat)
+            fm = tuple(row[:f] for row in cm[:f])
+            if fm in invariant:
+                raise InternalInvariantError(
+                    "relative Weyl group does not act faithfully on coinvariants")
+            invariant[fm] = (w.mat, cm)
+    return invariant
 
 
 # -- facets and double cosets ----------------------------------------------------

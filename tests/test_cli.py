@@ -108,6 +108,14 @@ def test_exit_codes():
     assert run("adm", "--preset", "a1-sc", "--mu", "1", "--cap", "-1").returncode == 1
 
 
+def test_wgroup_multiplies_factors_in_order_and_refuses_empty_entries():
+    r = run("wgroup", "length", "--preset", "a2-sc", "--element", "w[1]*t[1,0]")
+    assert r.returncode == 0 and "element: t[-1,0]*w[1]" in r.stdout
+    for text in ("t[1,,0]", "t[,1,0]", "t[1,0,]"):
+        r = run("wgroup", "length", "--preset", "a2-sc", "--element", text)
+        assert r.returncode == 2 and "empty entry" in r.stderr, text
+
+
 @pytest.mark.parametrize("args, lines", [
     (("wgroup", "word", "--preset", "a1-sc", "--element", "t[20000]",
       "--cap", "40000"), 1),

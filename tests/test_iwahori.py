@@ -12,7 +12,8 @@ import pytest
 
 from affweyl.errors import ElementParseError
 from affweyl.facets import admissible_set
-from affweyl.iwahori import IwahoriWeylGroup
+from affweyl.folding import fold
+from affweyl.iwahori import IwahoriWeylGroup, relative_lines
 from affweyl.presets import load_action, load_group
 from oracles import subword_downset
 
@@ -212,21 +213,12 @@ def test_omega_sizes(group_of):
         assert len(group_of(name).omega_torsion_representatives()) == n
 
 
-def _fraction_reflection(involutions, cov):
-    """The rational-kernel route: the involutions fixing a Fraction basis
-    of the hyperplane cov = 0."""
-    from affweyl.linalg import mat_vec
-    from oracles import nullspace_rational
-    kernel = nullspace_rational([cov], len(cov))
-    hits = [m for m in involutions if all(mat_vec(m, b) == b for b in kernel)]
-    assert len(hits) == 1
-    return hits[0]
-
-
-def test_integer_kernel_reflection_matches_fraction_route():
-    from affweyl.iwahori import RelWeylGroup
-    from affweyl.linalg import identity, mat_mul
+def test_each_line_reflection_is_the_involution_fixing_its_kernel():
+    """w0.reflections[line] is the one involution of W0 that fixes a
+    Fraction basis of the hyperplane line = 0, the rational-kernel route."""
+    from affweyl.linalg import identity, mat_mul, mat_vec
     from affweyl.presets import list_presets, load_group
+    from oracles import nullspace_rational
     lines = 0
     for name, _, _ in list_presets():
         group = load_group(name)
@@ -234,11 +226,60 @@ def test_integer_kernel_reflection_matches_fraction_route():
         involutions = [w.mat for w in group.w0.elements
                        if w.mat != ident and mat_mul(w.mat, w.mat) == ident]
         for line_id, cov in enumerate(group.line_primitives):
-            found = RelWeylGroup._find_reflection(involutions, cov)
-            assert found == _fraction_reflection(involutions, cov)
-            assert found == group.w0.reflections[line_id].mat
+            kernel = nullspace_rational([cov], len(cov))
+            hits = [m for m in involutions if all(mat_vec(m, b) == b for b in kernel)]
+            assert hits == [group.w0.reflections[line_id].mat]
             lines += 1
     assert lines > 0
+
+
+@pytest.mark.parametrize("name", ["a2-sc", "a2-ad", "a3-sc", "c2-sc", "g2", "folded-a3"])
+def test_lines_need_the_dual_fold(name):
+    """The lines read off the fold of the group's own action, in place of
+    its dual's, are another set: the relative roots are the dual fold's."""
+    group = load_group(name)
+    assert [line for _, line in relative_lines(group.dual_fold)] == \
+        list(group.line_primitives)
+    wrong = [line for _, line in relative_lines(fold(group.action))]
+    assert wrong != list(group.line_primitives)
+
+
+@pytest.mark.parametrize("name, text, product", [
+    ("a2-sc", "w[1]*t[1,0]", "t[-1,0]*w[1]"),
+    ("c2-sc", "w[1]*t[1,0]", None),
+    ("folded-d3", "w[1]*t[1,0,1]", None),
+    ("folded-d3", "w[2]*t[1,0,0]*w[1]*t[0,1,1]", None),
+])
+def test_element_factors_multiply_left_to_right(group_of, name, text, product):
+    group = group_of(name)
+    g = group.element_from_string(text)
+    factors = [group.element_from_string(part) for part in text.split("*")]
+    expected = factors[0]
+    for h in factors[1:]:
+        expected = expected * h
+    assert g == expected
+    if product is not None:
+        assert group.element_to_string(g) == product
+    # a w factor before a translation conjugates it
+    assert g != group.element_from_string(
+        "*".join(sorted(text.split("*"), key=lambda part: part[0] != "t")))
+
+
+@pytest.mark.parametrize("text", ["t[1,,0]", "t[,1,0]", "t[1,0,]", "w[1,]", "w[,1]"])
+def test_empty_entries_do_not_parse(group_of, text):
+    with pytest.raises(ElementParseError, match="empty entry"):
+        group_of("a2-sc").element_from_string(text)
+
+
+def test_a_semicolon_splits_free_from_torsion_coordinates(group_of):
+    """t[free;torsion] reads as a class prints, either side possibly empty."""
+    group = group_of("t1-inv")
+    assert group.element_from_string("t[;1]") == group.element_from_string("t[1]")
+    assert repr(group.element_from_string("t[;1]").cls) == "[;1]"
+    group = group_of("folded-d3")
+    assert group.element_from_string("t[1,0;1]") == group.element_from_string("t[1,0,1]")
+    with pytest.raises(ElementParseError, match="empty entry"):
+        group.element_from_string("t[1,;1]")
 
 
 def test_threads_agree_on_each_element():

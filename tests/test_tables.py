@@ -3,9 +3,11 @@
 Products in W0 are memoized walks through the left table of the shared
 reflection-group core, and the W0 action on classes goes through one
 class-coordinate matrix per element.  The oracles here never
-touch those tables: ambient (absolute) matrix products for W0, and
-``CoinvariantLattice.act`` (lift, ambient matrix, project) for the action on
-classes and for Iwahori-Weyl products.  Every shipped group preset is
+touch those tables: ambient (absolute) matrix products for W0, each element's
+ambient matrix read from the invariant subgroup of the absolute Weyl group
+(``oracles.invariant_weyl_scan``), and ``CoinvariantLattice.act`` (lift,
+ambient matrix, project) for the action on classes and for Iwahori-Weyl
+products.  Every shipped group preset is
 covered, including the torsion presets folded-a2, folded-a3 and folded-d3.
 """
 
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from affweyl.linalg import identity, mat_mul
 from affweyl.presets import list_presets, load_group
 from affweyl.root_data import reflection_matrix
+from oracles import invariant_weyl_scan
 
 PRESETS = sorted(name for name, _, _ in list_presets())
 SAMPLES = settings(max_examples=40, derandomize=True, deadline=None)
@@ -33,8 +36,16 @@ def sample_pool(name):
     return [g * om for om in omegas for g in ball]
 
 
-def w0_by_ambient(group):
-    return {w.abs_mat: w for w in group.w0.elements}
+@lru_cache(maxsize=None)
+def ambient_of(name):
+    """Each W0 element's ambient (cocharacter) matrix."""
+    w0 = group_of(name).w0
+    return {w0.by_matrix[fm]: amb
+            for fm, (amb, _) in invariant_weyl_scan(group_of(name)).items()}
+
+
+def w0_by_ambient(name):
+    return {amb: w for w, amb in ambient_of(name).items()}
 
 
 def unit_classes(co):
@@ -43,9 +54,10 @@ def unit_classes(co):
     return [co.make(u[:co.free_rank], u[co.free_rank:]) for u in units]
 
 
-def oracle_product(group, g, h):
-    w = w0_by_ambient(group)[mat_mul(g.w.abs_mat, h.w.abs_mat)]
-    return group.element(g.cls + group.coinv.act(g.w.abs_mat, h.cls), w)
+def oracle_product(name, g, h):
+    group, amb = group_of(name), ambient_of(name)
+    w = w0_by_ambient(name)[mat_mul(amb[g.w], amb[h.w])]
+    return group.element(g.cls + group.coinv.act(amb[g.w], h.cls), w)
 
 
 def draw(data, pool):
@@ -61,15 +73,29 @@ def test_presets_include_torsion_groups():
 @pytest.mark.parametrize("name", PRESETS)
 def test_cayley_table_is_the_group_table(name):
     w0 = group_of(name).w0
-    by_ambient = w0_by_ambient(group_of(name))
+    amb = ambient_of(name)
+    by_ambient = w0_by_ambient(name)
     assert len(by_ambient) == len(w0)
-    rank = len(w0.identity.abs_mat)
-    assert w0.identity.abs_mat == identity(rank)
+    rank = len(amb[w0.identity])
+    assert amb[w0.identity] == identity(rank)
     for a in w0.elements:
         assert w0.identity * a is a and a * w0.identity is a
-        assert mat_mul(a.abs_mat, a.inverse().abs_mat) == identity(rank)
+        assert mat_mul(amb[a], amb[a.inverse()]) == identity(rank)
         for b in w0.elements:
-            assert a * b is by_ambient[mat_mul(a.abs_mat, b.abs_mat)]
+            assert a * b is by_ambient[mat_mul(amb[a], amb[b])]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_w0_is_the_invariant_subgroup_of_w(name):
+    """Steinberg: W^Gamma acts faithfully on the classes and is generated by
+    the simple relative reflections, so W0, the Weyl group of the dual
+    fold, is exactly the invariant subgroup of W, each element with the
+    class matrix read through the Smith form."""
+    group = group_of(name)
+    scan = invariant_weyl_scan(group)
+    assert sorted(scan) == [w.mat for w in group.w0.elements]
+    for w in group.w0.elements:
+        assert w.class_mat == scan[w.mat][1]
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -77,7 +103,7 @@ def test_class_matrices_match_smith_action_on_units(name):
     group = group_of(name)
     for w in group.w0.elements:
         for b in unit_classes(group.coinv):
-            assert group.w0.act_class(w, b) == group.coinv.act(w.abs_mat, b)
+            assert group.w0.act_class(w, b) == group.coinv.act(ambient_of(name)[w], b)
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -90,7 +116,7 @@ def test_act_class_matches_smith_action(name, data):
     free = data.draw(st.tuples(*[st.integers(-9, 9)] * co.free_rank))
     torsion = data.draw(st.tuples(*[st.integers(0, d - 1) for d in co.torsion]))
     cls = co.make(free, torsion)
-    assert group.w0.act_class(w, cls) == co.act(w.abs_mat, cls)
+    assert group.w0.act_class(w, cls) == co.act(ambient_of(name)[w], cls)
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -100,7 +126,7 @@ def test_product_matches_lift_act_project(name, data):
     group = group_of(name)
     pool = sample_pool(name)
     g, h = draw(data, pool), draw(data, pool)
-    assert g * h == oracle_product(group, g, h)
+    assert g * h == oracle_product(name, g, h)
 
 
 @pytest.mark.parametrize("name", PRESETS)
