@@ -55,7 +55,7 @@ from .folding import CoinvariantLattice, fold, invariant_pairing
 from .linalg import (dot, identity, integer_left_inverse, mat_mul, mat_transpose,
                      mat_vec, primitive_covector, scaled_coordinates, vec_add,
                      vec_scale)
-from .root_data import FiniteReflectionGroup, closure, reflection_matrix
+from .root_data import FiniteReflectionGroup, WeylGroup, closure, reflection_matrix
 
 
 def relative_lines(folded):
@@ -79,6 +79,9 @@ class RelWeylGroup(FiniteReflectionGroup):
     """
 
     def __init__(self, folded, line_roots):
+        # W0 lies in W, so W's order sizes it before the closure starts
+        ad = folded.action.datum.dual
+        WeylGroup.check_order(ad)
         fd = folded.datum
         refl = {i: reflection_matrix(fd.coroots[i], fd.roots[i], fd.rank)
                 for i in fd.positive_indices}
@@ -100,12 +103,11 @@ class RelWeylGroup(FiniteReflectionGroup):
                 simple[w.word[0]], self.element_from_word(w.word[1:]).class_mat)
             ) if w.word else identity(len(factors))
         self.reflections = tuple(self.by_matrix[refl[i]] for i in line_roots)
-        # on cocharacters s_i is its orbit's longest element of the absolute W
-        weyl = folded.action.datum.dual.weyl
+        # on cocharacters s_i is the longest element of its orbit's parabolic in W
+        gens = [reflection_matrix(ad.roots[i], ad.coroots[i], ad.rank) for i in ad.simples]
         for (orbit, _), s in zip(folded.orbit_map, self.simple_reflections):
-            gens = [weyl.simple_reflections[k] for k in orbit]
-            top = max(closure([weyl.identity], lambda w: (w * g for g in gens)),
-                      key=lambda w: w.length)
+            top = FiniteReflectionGroup(identity(ad.rank),
+                                        [gens[k] for k in orbit]).longest_element
             if any(self.act_class(s, b) != co.act(top.mat, b) for b in co.basis()):
                 raise InternalInvariantError(
                     "tabled class action disagrees with the coinvariant action")

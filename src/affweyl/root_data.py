@@ -16,6 +16,7 @@ of ``fold(action.dual).datum.dual``, whose cocharacters are the free class
 coordinates.
 """
 
+from collections import Counter
 from functools import cached_property
 
 from .errors import RootDatumError
@@ -109,18 +110,13 @@ class BasedRootDatum:
     @cached_property
     def two_rho(self):
         """Sum of the positive roots (a character)."""
-        out = (0,) * self.rank
-        for r in self.positive_roots:
-            out = tuple(a + b for a, b in zip(out, r))
-        return out
+        return tuple(map(sum, zip((0,) * self.rank, *self.positive_roots)))
 
     @cached_property
     def two_rho_check(self):
         """Sum of the positive coroots (a cocharacter)."""
-        out = (0,) * self.rank
-        for i in self.positive_indices:
-            out = tuple(a + b for a, b in zip(out, self.coroots[i]))
-        return out
+        return tuple(map(sum, zip((0,) * self.rank,
+                                  *(self.coroots[i] for i in self.positive_indices))))
 
     def is_dominant_char(self, chi):
         return all(dot(av, chi) >= 0 for av in self.simple_coroots)
@@ -180,14 +176,11 @@ class BasedRootDatum:
         """|W| from the root system, without building W (Kostant): with n_k
         positive roots of height k, k is an exponent n_k - n_{k+1} times,
         and |W| is the product of m + 1 over the exponents m."""
-        by_height = {}
-        for r in self.positive_roots:
-            num, den = self._root_coordinates(r)
-            k = sum(num) // den
-            by_height[k] = by_height.get(k, 0) + 1
+        by_height = Counter(sum(num) // den for num, den in
+                            map(self._root_coordinates, self.positive_roots))
         order = 1
         for k, n in by_height.items():
-            order *= (k + 1) ** (n - by_height.get(k + 1, 0))
+            order *= (k + 1) ** (n - by_height[k + 1])
         return order
 
     @cached_property
@@ -375,15 +368,19 @@ class WeylGroup(FiniteReflectionGroup):
     The closure keeps every element and its row of generator products, so
     a datum whose order, read off ``weyl_order``, exceeds ``MAX_ORDER``
     (A7's, the largest measured to build) is refused before any element is
-    made.
+    made (``check_order``, which also sizes a relative W0 by its W).
     """
 
     MAX_ORDER = 40320
 
-    def __init__(self, datum):
-        if datum.weyl_order > self.MAX_ORDER:
+    @classmethod
+    def check_order(cls, datum):
+        if datum.weyl_order > cls.MAX_ORDER:
             raise RootDatumError(f"Weyl group of order {datum.weyl_order} exceeds "
-                                 f"the cap of {self.MAX_ORDER} elements")
+                                 f"the cap of {cls.MAX_ORDER} elements")
+
+    def __init__(self, datum):
+        self.check_order(datum)
         self.datum = datum
         super().__init__(identity(datum.rank), [
             reflection_matrix(datum.roots[i], datum.coroots[i], datum.rank)

@@ -8,7 +8,7 @@ from math import lcm
 
 from affweyl import facets as fc
 from affweyl.errors import CapExceededError, InfiniteGroupError
-from affweyl.linalg import dot, primitive_covector
+from affweyl.linalg import dot, primitive_covector, vec_add
 from affweyl.presets import list_presets
 from oracles import (average_lift, double_coset_count, max_double_coset_rep,
                      nullspace_rational, restricted_lines, solve_rational)
@@ -75,15 +75,16 @@ def test_restricted_roots(group_of):
     vertex = facet_by_letters(group, (1, 2))
     allr, pos = vertex.restricted_roots()
     assert len(allr) == 6 and len(pos) == 3
-    # J = {s0}: a rank-1 subsystem not generated by a simple root
+    # J = {s0}: a rank-1 subsystem not generated by a simple root, on the
+    # line of the highest root, which on A2 is the sum of the simple ones
     f0 = facet_by_letters(group, (0,))
     allr, pos = f0.restricted_roots()
     assert len(allr) == 2 and len(pos) == 1
-    simple_prims = {primitive_covector(group.rel_roots[i][0]) for i in range(len(group.rel_roots))
-                    if False}
     theta = primitive_covector(pos[0])
-    simples = {group.line_primitives[i] for i in range(group.n_simple_lines)}
+    simples = group.line_primitives[:group.n_simple_lines]
     assert theta not in simples
+    highest = group.line_ids[primitive_covector(vec_add(*simples))]
+    assert group.line_ids[theta] == highest == group.simple_affine[0].family.line_id
 
 
 def test_facet_dominant_rep(group_of):

@@ -4,17 +4,20 @@ The Bruhat order test uses the fully exhaustive oracle: every reduced word
 of v is enumerated and all subword products collected.
 """
 
+import hashlib
 import sys
 import threading
 from itertools import product as iproduct
 
 import pytest
 
-from affweyl.errors import ElementParseError
+from affweyl import cli, iwahori
+from affweyl.errors import ElementParseError, InternalInvariantError
 from affweyl.facets import admissible_set
-from affweyl.folding import fold
+from affweyl.folding import CoinvariantLattice, fold
 from affweyl.iwahori import IwahoriWeylGroup, relative_lines
-from affweyl.presets import load_action, load_group
+from affweyl.presets import list_presets, load_action, load_group
+from affweyl.root_data import WeylGroup
 from oracles import subword_downset
 
 
@@ -320,3 +323,66 @@ def test_threads_agree_on_each_element():
 def test_group_name_defaults_to_the_datum_name_with_iw():
     assert IwahoriWeylGroup(load_action("a1-ad", None)).name == "a1-ad-iw"
     assert IwahoriWeylGroup(load_action("a1-ad", None), name="x").name == "x"
+
+
+def _shift_simple_torsion(monkeypatch):
+    # folded-d3's simple torsion ((0,), (1,)) becomes ((1,), (0,)); only the
+    # first change shows, as the second root's coroot (2, 0) is even
+    def folded(action):
+        f = fold(action)
+        f.simple_torsion = tuple(tuple((x + 1) % d for x, d in zip(t, f.component_group))
+                                 for t in f.simple_torsion)
+        return f
+    monkeypatch.setattr(iwahori, "fold", folded)
+
+
+def _fix_every_class(monkeypatch):
+    monkeypatch.setattr(CoinvariantLattice, "act", lambda self, m, cls: cls)
+
+
+@pytest.mark.parametrize("corrupt", [_shift_simple_torsion, _fix_every_class])
+def test_w0_build_check_catches_a_corrupted_class_action(monkeypatch, capsys, corrupt):
+    """The tabled class matrices of W0 are checked against the coinvariant
+    action of each orbit's longest element; a mismatch is an internal
+    invariant violation (exit 3), whichever side is wrong."""
+    corrupt(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="tabled class action disagrees"):
+        load_group("folded-d3")
+    assert cli.main(["report", "--preset", "folded-d3"]) == 3
+    assert "tabled class action disagrees" in capsys.readouterr().err
+
+
+@pytest.fixture
+def weyl_builds(monkeypatch):
+    """The names of the data whose absolute ``WeylGroup`` is built."""
+    built = []
+    init = WeylGroup.__init__
+
+    def spy(self, datum):
+        built.append(datum.name)
+        init(self, datum)
+    monkeypatch.setattr(WeylGroup, "__init__", spy)
+    return built
+
+
+def test_shipped_group_builds_make_no_absolute_weyl_group(weyl_builds):
+    names = [name for name, _, _ in list_presets()]
+    assert len(names) == 14
+    for name in names:
+        load_group(name)
+    assert weyl_builds == []
+
+
+# an absolute mu (rank-many coordinates) on a twisted preset reads its
+# dominant representative in the absolute W, the one W such a command builds
+@pytest.mark.parametrize("args, digest", [
+    ("adm --preset folded-a3 --mu 1,1,0",
+     "31678e629e6f86237a028889bbf178ecba833b9a114050b0b34d9af83a39b4b0"),
+    ("adm --preset folded-a3 --facet 1,2 --mu 1,0,0",
+     "27800059df151b14033e79f5d4a36d696efaefd0a2a027af462e5e63d0216140"),
+])
+def test_absolute_mu_builds_the_absolute_weyl_group_once(weyl_builds, capsys, args, digest):
+    assert cli.main(args.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert weyl_builds == ["a3-sc"]

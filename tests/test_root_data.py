@@ -7,6 +7,7 @@ the raw reflection formula, independently of the WeylGroup machinery.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affweyl import cli
 from affweyl.errors import RootDatumError, UnknownPresetError
 from affweyl.folding import fold
 from affweyl.presets import list_presets, load_action, load_datum, load_group
@@ -247,6 +248,19 @@ def test_weyl_group_over_the_cap_is_refused_before_it_is_built(monkeypatch):
     monkeypatch.setattr(FiniteReflectionGroup, "__init__", None)
     with pytest.raises(RootDatumError, match="order 24 exceeds the cap of 23"):
         a3.weyl
+
+
+@pytest.mark.parametrize("name", ["a3-sc", "folded-d3"])
+def test_group_over_the_cap_is_refused_before_any_closure(monkeypatch, capsys, name):
+    """W0 lies in W, so an Iwahori-Weyl group build reads W's order off the
+    root heights and refuses an oversized datum before W0's closure (or any
+    other reflection-group closure) starts; the CLI exits 2."""
+    monkeypatch.setattr(WeylGroup, "MAX_ORDER", 23)
+    monkeypatch.setattr(FiniteReflectionGroup, "__init__", None)
+    with pytest.raises(RootDatumError, match="order 24 exceeds the cap of 23"):
+        load_group(name)
+    assert cli.main(["report", "--preset", name]) == 2
+    assert "Weyl group of order 24 exceeds the cap of 23 elements" in capsys.readouterr().err
 
 
 def test_weyl_element_hashes_repeat_across_loads():
