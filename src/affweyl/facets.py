@@ -31,7 +31,7 @@ from .errors import (CapExceededError, FacetError, InfiniteGroupError,
                      InternalInvariantError)
 from .linalg import (dot, integer_left_inverse, mat_transpose, primitive_covector,
                      scaled_coordinates)
-from .root_data import closure
+from .root_data import closure, dominant_walk
 
 
 class Facet:
@@ -168,11 +168,11 @@ def enumerate_facets(group):
 
 def _dominant(group, mu):
     """The dominant class naming mu's admissible sets: the projection of an
-    absolute cocharacter's W-dominant representative, or the dominant
+    absolute cocharacter walked to W's dominant chamber, or the dominant
     member of a class's W0-orbit."""
     if hasattr(mu, "free"):
         return group.dominant_class(mu)
-    dom, _ = group.datum.weyl.dominant_representative(tuple(mu))
+    (dom, _), _ = dominant_walk((tuple(mu), ()), group.datum.dual.simple_steps)
     return group.coinv.project(dom)
 
 

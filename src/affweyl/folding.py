@@ -311,6 +311,12 @@ class FoldedDatum:
         self.component_group = component_group
         self.nonreduced = nonreduced
 
+    @cached_property
+    def simple_steps(self):
+        """(coroot, root, torsion) per folded simple root: W0's walk steps."""
+        return tuple(zip(self.datum.simple_coroots, self.datum.simple_roots,
+                         self.simple_torsion))
+
 
 def _simple_orbits(action):
     """Orbits of the action on the simple slots, ordered by least member."""

@@ -34,7 +34,7 @@ from math import prod
 
 from .errors import DominanceError, InternalInvariantError, PeelingError
 from .linalg import dot, mat_vec, vec_add, vec_sub
-from .root_data import closure
+from .root_data import closure, dominant_walk
 
 
 class WeightMultiset:
@@ -112,22 +112,12 @@ def freudenthal(datum, lam):
     def norm(v):
         return dot(v, mat_vec(gram, v))
 
-    simple = tuple(zip(datum.simple_coroots, datum.simple_roots))
     reps = {}
 
     def dom_rep(v):
         rep = reps.get(v)
         if rep is None:
-            # dominant_of_char's walk, on the weight alone
-            rep = v
-            while True:
-                for cv, alpha in simple:
-                    if (n := dot(cv, rep)) < 0:
-                        rep = tuple(x - n * a for x, a in zip(rep, alpha))
-                        break
-                else:
-                    break
-            reps[v] = rep
+            rep = reps[v] = dominant_walk((v, ()), datum.simple_steps)[0][0]
         return rep
 
     # (alpha, G alpha, q(alpha)) for every positive root
@@ -198,10 +188,9 @@ def downward_orbit(start, steps, moduli=()):
 
 def irreducible_character(datum, lam):
     """Full weight multiset of the irreducible with highest weight lam."""
-    steps = tuple((cv, a, ()) for cv, a in zip(datum.simple_coroots, datum.simple_roots))
     # the orbits of distinct dominant weights are disjoint
     return WeightMultiset({w: m for mu, m in freudenthal(datum, lam).items()
-                           for w, _ in downward_orbit((mu, ()), steps)})
+                           for w, _ in downward_orbit((mu, ()), datum.simple_steps)})
 
 
 def weyl_dimension(datum, lam):
@@ -283,10 +272,10 @@ def character_with_torsion(folded, mu_cls):
         raise DominanceError(f"{mu_cls} is not dominant for the folded datum")
     dominant = extend_by_component_twist(
         WeightMultiset(freudenthal(fd, mu_cls.free)), mu_cls, folded)
-    steps = tuple(zip(fd.simple_coroots, fd.simple_roots, folded.simple_torsion))
     out = WeightMultiset()
     for cls, m in dominant.entries.items():
-        for v, t in downward_orbit((cls.free, cls.torsion), steps, co.torsion):
+        for v, t in downward_orbit((cls.free, cls.torsion), folded.simple_steps,
+                                   co.torsion):
             out.entries[co.make(v, t)] = m
     return out
 
@@ -333,11 +322,10 @@ def restrict_to_fixed_group(folded, lam):
         c = co.project(mu)
         for x, t in downward_orbit((mu + c.free, c.torsion), steps, co.torsion):
             projected[x[datum.rank:], t] = projected.get((x[datum.rank:], t), 0) + m
-    simple = tuple(zip(fd.simple_coroots, fd.simple_roots, folded.simple_torsion))
     coeffs = {}
     for (v, t), m in projected.items():
         while True:
-            for cv, b, tb in simple:
+            for cv, b, tb in folded.simple_steps:
                 if (n := dot(cv, v) + 1) <= 0:
                     break
             else:  # v + rho' is dominant

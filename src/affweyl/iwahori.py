@@ -55,7 +55,8 @@ from .folding import CoinvariantLattice, fold, invariant_pairing
 from .linalg import (dot, identity, integer_left_inverse, mat_mul, mat_transpose,
                      mat_vec, primitive_covector, scaled_coordinates, vec_add,
                      vec_scale)
-from .root_data import FiniteReflectionGroup, WeylGroup, closure, reflection_matrix
+from .root_data import (FiniteReflectionGroup, WeylGroup, closure, dominant_walk,
+                        reflection_matrix)
 
 
 def relative_lines(folded):
@@ -79,10 +80,9 @@ class RelWeylGroup(FiniteReflectionGroup):
     """
 
     def __init__(self, folded, line_roots):
-        # W0 lies in W, so W's order sizes it before the closure starts
-        ad = folded.action.datum.dual
-        WeylGroup.check_order(ad)
+        # W0 is the fold's Weyl group: its order sizes it before the closure
         fd = folded.datum
+        WeylGroup.check_order(fd)
         refl = {i: reflection_matrix(fd.coroots[i], fd.roots[i], fd.rank)
                 for i in fd.positive_indices}
         super().__init__(identity(fd.rank), [refl[i] for i in fd.simples])
@@ -95,20 +95,21 @@ class RelWeylGroup(FiniteReflectionGroup):
 
         simple = [reduced(reflection_matrix(cov + (0,) * len(tau), beta + tau,
                                             len(factors)))
-                  for beta, tau, cov in zip(fd.simple_roots, folded.simple_torsion,
-                                            fd.simple_coroots)]
+                  for cov, beta, tau in folded.simple_steps]
         # a word's shorter suffix comes first in length order
         for w in sorted(self.elements, key=lambda w: w.length):
             w.class_mat = reduced(mat_mul(
                 simple[w.word[0]], self.element_from_word(w.word[1:]).class_mat)
             ) if w.word else identity(len(factors))
         self.reflections = tuple(self.by_matrix[refl[i]] for i in line_roots)
-        # on cocharacters s_i is the longest element of its orbit's parabolic in W
-        gens = [reflection_matrix(ad.roots[i], ad.coroots[i], ad.rank) for i in ad.simples]
+        # s_i is W_J's longest element, J its orbit: J's walk up from -2 rho^vee spells it
+        ad = folded.action.datum.dual
+        steps, x = ad.dual.simple_steps, vec_scale(-1, ad.two_rho_check)
         for (orbit, _), s in zip(folded.orbit_map, self.simple_reflections):
-            top = FiniteReflectionGroup(identity(ad.rank),
-                                        [gens[k] for k in orbit]).longest_element
-            if any(self.act_class(s, b) != co.act(top.mat, b) for b in co.basis()):
+            top = identity(ad.rank)
+            for j in dominant_walk((x, ()), [steps[k] for k in orbit])[1]:
+                top = mat_mul(reflection_matrix(*steps[orbit[j]][:2], ad.rank), top)
+            if any(self.act_class(s, b) != co.act(top, b) for b in co.basis()):
                 raise InternalInvariantError(
                     "tabled class action disagrees with the coinvariant action")
 
@@ -593,16 +594,13 @@ class IwahoriWeylGroup:
 
     # -- dominance on classes -------------------------------------------------------
 
-    def rel_value(self, cov, cls):
-        return dot(cov, cls.free)
-
     def is_dominant_class(self, cls):
-        return all(self.rel_value(fam.covector, cls) >= 0 for fam in self.families)
+        return all(dot(fam.covector, cls.free) >= 0 for fam in self.families)
 
     def dominant_class(self, cls):
         """The dominant representative of the W0-orbit of a class."""
-        walls = [fam.covector for fam in self.families[:self.n_simple_lines]]
-        return self.w0.descend(cls, walls, self.rel_value, self.w0.act_class)[0]
+        return self.coinv.make(*dominant_walk(
+            (cls.free, cls.torsion), self.dual_fold.simple_steps, self.coinv.torsion)[0])
 
     def w0_orbit(self, cls):
         return set(closure([cls], lambda c: (

@@ -18,6 +18,7 @@ coordinates.
 
 from collections import Counter
 from functools import cached_property
+from operator import mul
 
 from .errors import RootDatumError
 from .linalg import (dot, identity, integer_left_inverse, mat_mul, mat_vec,
@@ -117,6 +118,11 @@ class BasedRootDatum:
         """Sum of the positive coroots (a cocharacter)."""
         return tuple(map(sum, zip((0,) * self.rank,
                                   *(self.coroots[i] for i in self.positive_indices))))
+
+    @cached_property
+    def simple_steps(self):
+        """``dominant_walk``'s steps on characters (cocharacters: the dual's)."""
+        return tuple((cv, a, ()) for cv, a in zip(self.simple_coroots, self.simple_roots))
 
     def is_dominant_char(self, chi):
         return all(dot(av, chi) >= 0 for av in self.simple_coroots)
@@ -222,6 +228,24 @@ def closure(seeds, step, limit=None):
                 if limit is not None and len(out) > limit:
                     return out
     return out
+
+
+def dominant_walk(state, steps, moduli=()):
+    """(end state, letters) of the walk up from state = (v, t): while some
+    step (cv, alpha, tau) has n = <cv, v> < 0, the least such, k, sends
+    v -> v - n alpha and t -> t - n tau mod the moduli, and k is a letter."""
+    v, t = state
+    letters = []
+    while True:
+        # dot inlined: Freudenthal walks every weight it meets
+        for k, (cv, alpha, tau) in enumerate(steps):
+            if (n := sum(map(mul, cv, v))) < 0:
+                break
+        else:
+            return (v, t), letters
+        v = tuple([p - n * q for p, q in zip(v, alpha)])
+        t = t and tuple([(p - n * q) % d for p, q, d in zip(t, tau, moduli)])
+        letters.append(k)
 
 
 class WeylElement:
@@ -344,23 +368,6 @@ class FiniteReflectionGroup:
     def longest_element(self):
         return max(self.elements, key=lambda w: w.length)
 
-    def descend(self, x, walls, pair, act):
-        """(x+, w) with w x = x+ on the nonnegative side of every wall.
-
-        While pair(walls[k], x) < 0 for some k, the least such simple
-        reflection s_k is applied: x becomes act(s_k, x) and w becomes s_k w.
-        """
-        w = self.identity
-        simple = self.simple_reflections
-        while True:
-            for k, wall in enumerate(walls):
-                if pair(wall, x) < 0:
-                    x = act(simple[k], x)
-                    w = simple[k] * w
-                    break
-            else:
-                return x, w
-
 
 class WeylGroup(FiniteReflectionGroup):
     """Finite Weyl group of a based root datum, closed on cocharacter matrices.
@@ -368,7 +375,7 @@ class WeylGroup(FiniteReflectionGroup):
     The closure keeps every element and its row of generator products, so
     a datum whose order, read off ``weyl_order``, exceeds ``MAX_ORDER``
     (A7's, the largest measured to build) is refused before any element is
-    made (``check_order``, which also sizes a relative W0 by its W).
+    made (``check_order``, which also sizes W0); no command builds one.
     """
 
     MAX_ORDER = 40320
@@ -393,8 +400,8 @@ class WeylGroup(FiniteReflectionGroup):
 
     def dominant_representative(self, mu):
         """(mu+, w) with w * mu = mu+ dominant; least-index descent at each step."""
-        return self.descend(tuple(mu), self.datum.simple_roots, dot,
-                            WeylElement.apply_cochar)
+        (dom, _), letters = dominant_walk((tuple(mu), ()), self.datum.dual.simple_steps)
+        return dom, self.element_from_word(letters[::-1])
 
     def stabilizer_order(self, mu):
         return len(self) // len(self.orbit(mu))

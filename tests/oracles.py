@@ -4,6 +4,7 @@ library's fast paths from their definitions.
 Tests import this module as they import ``conftest``.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -156,6 +157,24 @@ def stabilizer_generators(weyl, mu):
     return tuple(winv * weyl.simple_reflections[k] * w
                  for k, a in enumerate(weyl.datum.simple_roots)
                  if dot(dom, a) == 0)
+
+
+def bott_length_counts(datum, bound):
+    """The coefficients of t^0 .. t^bound in Bott's Poincare series of the
+    affine Weyl group over datum's Weyl group, prod_i (1 + t + ... + t^e_i)
+    / (1 - t^e_i) over its exponents e_i (Bott, Bull. SMF 84, 1956), in
+    integers.  With n_k positive roots of height k, k is an exponent
+    n_k - n_{k+1} times (Kostant)."""
+    heights = Counter(sum(num) // den for num, den in
+                      map(datum._root_coordinates, datum.positive_roots))
+    series = [1] + [0] * bound
+    for k, n in heights.items():
+        for _ in range(n - heights[k + 1]):
+            # times 1 + t + ... + t^k, then times 1 / (1 - t^k)
+            series = [sum(series[max(0, j - k):j + 1]) for j in range(bound + 1)]
+            for j in range(k, bound + 1):
+                series[j] += series[j - k]
+    return series
 
 
 def invariant_factors(a):

@@ -7,6 +7,7 @@ Every test prints a single PASS line so the run doubles as a checklist
 import json
 import subprocess
 import sys
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
@@ -18,8 +19,8 @@ from affweyl.linalg import dot, mat_mul, mat_inverse_int
 from affweyl.presets import list_presets, load_action, load_datum, load_group
 from affweyl.smith import verify_decomposition
 from conftest import child_env
-from oracles import (DominanceOrder, double_coset_count, kostant_multiplicity,
-                     restricted_lines, subword_downset)
+from oracles import (DominanceOrder, bott_length_counts, double_coset_count,
+                     kostant_multiplicity, restricted_lines, subword_downset)
 
 PRESETS = ["a1-sc", "a1-ad", "a2-sc", "c2-sc", "g2", "folded-a3"]
 BRUHAT_PRESETS = ["a1-sc", "a1-ad", "a2-sc"]
@@ -339,3 +340,44 @@ def test_criterion_10_needs_the_dual(name):
     group = grp(name)
     triples = list(satake_triples(group, fold(group.action)))
     assert triples and any(adm != reps for _, _, adm, reps in triples)
+
+
+def ball_length_counts(group):
+    """(counts of affine_ball(L) by length, Bott's counts for W0) at L = 10
+    up to rank 2 and L = 7 at rank 3."""
+    bound = 10 if group.n_simple_lines <= 2 else 7
+    counts = Counter(g.length for g in group.affine_ball(bound))
+    return ([counts[k] for k in range(bound + 1)],
+            bott_length_counts(group.dual_fold.datum, bound))
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in list_presets()])
+def test_criterion_11_bott_length_counts(name):
+    """The affine Weyl group has as many elements of each length as Bott's
+    series for W0's exponents counts; exact."""
+    ball, bott = ball_length_counts(grp(name))
+    assert ball == bott, name
+    print(f"ACCEPTANCE 11 (Bott's length counts) on {name}: PASS")
+
+
+def test_criterion_11_catches_a_length_that_skips_a_wall_family():
+    """A length that misses the walls of the last family, patched in after
+    the build, breaks the counts on every group with a wall family."""
+    caught = []
+    for name, _, _ in list_presets():
+        group = load_group(name)
+        if not group.families:
+            continue
+        last, full = group.families[-1], group._length
+
+        def short(g):
+            a = dot(last.covector, group.p0_num)
+            b = dot(last.covector, group._act_point(g, group.p0_num))
+            return full(g) - abs(b // group.p0_den - a // group.p0_den)
+
+        group._length = short
+        ball, bott = ball_length_counts(group)
+        if ball != bott:
+            caught.append(name)
+    # t1 and t1-inv are tori: no wall family
+    assert len(caught) == 12, caught

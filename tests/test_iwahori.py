@@ -5,6 +5,7 @@ of v is enumerated and all subword products collected.
 """
 
 import hashlib
+import random
 import sys
 import threading
 from itertools import product as iproduct
@@ -86,6 +87,21 @@ def test_translation_length_pairing_box(group_of):
         for cls in sample_classes(group, 2):
             expected = group.pairing_two_rho(group.dominant_class(cls))
             assert group.translation(cls).length == expected
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in list_presets()])
+def test_dominant_class_is_the_one_dominant_member_of_its_orbit(name, group_of):
+    """``dominant_class`` walks a class, torsion included, to the one
+    dominant member of its W0-orbit: seeded free parts, each with every
+    torsion part (folded-d3 and t1-inv carry torsion)."""
+    group = group_of(name)
+    rng = random.Random(name)
+    co = group.coinv
+    free_parts = [tuple(rng.randint(-5, 5) for _ in range(co.free_rank)) for _ in range(12)]
+    for cls in co.classes(free_parts):
+        dominant = [c for c in group.w0_orbit(cls) if group.is_dominant_class(c)]
+        assert len(dominant) == 1, (name, cls, dominant)
+        assert group.dominant_class(cls) == dominant[0], (name, cls)
 
 
 def test_omega_structure_pgl2(group_of):
@@ -373,16 +389,16 @@ def test_shipped_group_builds_make_no_absolute_weyl_group(weyl_builds):
     assert weyl_builds == []
 
 
-# an absolute mu (rank-many coordinates) on a twisted preset reads its
-# dominant representative in the absolute W, the one W such a command builds
+# an absolute mu (rank-many coordinates) on a twisted preset walks to its
+# dominant representative on the vector, with no Weyl group built
 @pytest.mark.parametrize("args, digest", [
     ("adm --preset folded-a3 --mu 1,1,0",
      "31678e629e6f86237a028889bbf178ecba833b9a114050b0b34d9af83a39b4b0"),
     ("adm --preset folded-a3 --facet 1,2 --mu 1,0,0",
      "27800059df151b14033e79f5d4a36d696efaefd0a2a027af462e5e63d0216140"),
 ])
-def test_absolute_mu_builds_the_absolute_weyl_group_once(weyl_builds, capsys, args, digest):
+def test_absolute_mu_builds_no_weyl_group(weyl_builds, capsys, args, digest):
     assert cli.main(args.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert weyl_builds == ["a3-sc"]
+    assert weyl_builds == []

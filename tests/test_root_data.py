@@ -11,7 +11,7 @@ from affweyl import cli
 from affweyl.errors import RootDatumError, UnknownPresetError
 from affweyl.folding import fold
 from affweyl.presets import list_presets, load_action, load_datum, load_group
-from affweyl.root_data import (FiniteReflectionGroup, WeylGroup, closure,
+from affweyl.root_data import (FiniteReflectionGroup, WeylGroup, closure, dominant_walk,
                                reflection_matrix)
 from affweyl.linalg import dot, mat_mul, identity, primitive_covector
 from oracles import stabilizer_generators
@@ -91,6 +91,15 @@ def test_two_rho_values():
     assert len(c2.positive_roots) == 4
     total = tuple(sum(col) for col in zip(*c2.positive_roots))
     assert c2.two_rho == total
+
+
+def test_dominant_walk_takes_the_least_step_and_carries_torsion():
+    a2 = load_datum("a2-sc")
+    # s_1 takes (-1, 0) to (1, -1), then s_2 to the dominant (0, 1)
+    assert dominant_walk(((-1, 0), ()), a2.simple_steps) == (((0, 1), ()), [0, 1])
+    assert dominant_walk(((0, 1), ()), a2.simple_steps) == (((0, 1), ()), [])
+    # n = -3: v -> -3 + 3 * 2, t -> 0 + 3 * 1 mod 2
+    assert dominant_walk(((-3,), (0,)), (((1,), (2,), (1,)),), (2,)) == (((3,), (1,)), [0])
 
 
 def test_dominant_representative_examples():
@@ -250,17 +259,71 @@ def test_weyl_group_over_the_cap_is_refused_before_it_is_built(monkeypatch):
         a3.weyl
 
 
-@pytest.mark.parametrize("name", ["a3-sc", "folded-d3"])
-def test_group_over_the_cap_is_refused_before_any_closure(monkeypatch, capsys, name):
-    """W0 lies in W, so an Iwahori-Weyl group build reads W's order off the
-    root heights and refuses an oversized datum before W0's closure (or any
-    other reflection-group closure) starts; the CLI exits 2."""
-    monkeypatch.setattr(WeylGroup, "MAX_ORDER", 23)
+@pytest.mark.parametrize("name, order", [pytest.param("a3-sc", 24, id="a3-sc"),
+                                         pytest.param("folded-d3", 8, id="folded-d3")])
+def test_group_over_the_cap_is_refused_before_any_closure(monkeypatch, capsys, name, order):
+    """An Iwahori-Weyl group build reads W0's order off the fold's root
+    heights (24 on split A3; 8 on folded-d3, whose W is A3's) and refuses
+    an oversized W0 before its closure (or any other reflection-group
+    closure) starts; the CLI exits 2."""
+    monkeypatch.setattr(WeylGroup, "MAX_ORDER", order - 1)
     monkeypatch.setattr(FiniteReflectionGroup, "__init__", None)
-    with pytest.raises(RootDatumError, match="order 24 exceeds the cap of 23"):
+    message = f"Weyl group of order {order} exceeds the cap of {order - 1} elements"
+    with pytest.raises(RootDatumError, match=message):
         load_group(name)
     assert cli.main(["report", "--preset", name]) == 2
-    assert "Weyl group of order 24 exceeds the cap of 23 elements" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def _write_a1x16(tmp_path):
+    """A1^16 (|W| = 65,536, over the cap) with two actions through
+    ``AFFWEYL_PRESET_PATH``: ``a1x16-swap`` swaps the simple roots in pairs
+    (W0 = A1^8, walls e_i | 1) and ``a1x16-cyc`` cycles all 16 (W0 = A1)."""
+    rows = [[2 * sign * (i == j) for j in range(16)] for i in range(16) for sign in (1, -1)]
+    (tmp_path / "a1x16.datum").write_text("".join(
+        ["name a1x16\nlattice simply-connected\nrank 16\n",
+         "simples %s\n" % " ".join(str(2 * i) for i in range(16))]
+        + ["root %s | coroot %s\n" % (" ".join(map(str, r)), " ".join(str(x // 2) for x in r))
+           for r in rows]
+        + ["action swap | perm %s\n" % " ".join(str(i ^ 1) for i in range(16)),
+           "action cyc | perm %s\n" % " ".join(str((i + 1) % 16) for i in range(16))]))
+    (tmp_path / "a1x16-swap.group").write_text(
+        "name a1x16-swap\nbase a1x16\naction swap\n" + "".join(
+            "wall %s | 1\n" % " ".join(str(int(i == j)) for j in range(8)) for i in range(8)))
+    (tmp_path / "a1x16-cyc.group").write_text(
+        "name a1x16-cyc\nbase a1x16\naction cyc\nwall 1 | 1\n")
+
+
+@pytest.mark.parametrize("name, order, mu", [
+    pytest.param("a1x16-swap", 256, ",".join(["1"] + ["0"] * 7), id="swap"),
+    pytest.param("a1x16-cyc", 2, "1", id="cycle")])
+def test_twisted_group_is_sized_by_its_own_weyl_group(monkeypatch, capsys, tmp_path,
+                                                      name, order, mu):
+    """A1^16, |W| = 65,536 over the cap, with its simple roots swapped in
+    pairs (W0 = A1^8) or cycled (W0 = A1; the orbit's parabolic in W is all
+    of W): the group builds, W0 is the one reflection group closed, and
+    ``wgroup`` and ``adm`` run.  ``report`` runs on the cycle only: on the
+    swap its box sample of mu scans 21^8 classes."""
+    _write_a1x16(tmp_path)
+    monkeypatch.setenv("AFFWEYL_PRESET_PATH", str(tmp_path))
+    assert load_datum("a1x16").weyl_order == 65536
+    closed = []
+    init = FiniteReflectionGroup.__init__
+
+    def spy(self, ident, simple_mats):
+        init(self, ident, simple_mats)
+        closed.append((type(self).__name__, len(self)))
+
+    monkeypatch.setattr(FiniteReflectionGroup, "__init__", spy)
+    assert len(load_group(name).w0) == order
+    assert cli.main(["wgroup", "length", "--preset", name, "--element", f"t[{mu}]"]) == 0
+    assert "length: 1" in capsys.readouterr().out
+    assert cli.main(["adm", "--preset", name, "--mu", mu]) == 0
+    assert f"t[{mu}]" in capsys.readouterr().out
+    if name == "a1x16-cyc":
+        assert cli.main(["report", "--preset", name]) == 0
+        assert f"preset: {name}" in capsys.readouterr().out
+    assert set(closed) == {("RelWeylGroup", order)}
 
 
 def test_weyl_element_hashes_repeat_across_loads():
